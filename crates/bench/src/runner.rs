@@ -220,13 +220,6 @@ pub fn route_cost_map(
     out
 }
 
-/// Measure the average RTT of the best paths found by an all-pairs query on
-/// `topology` (used by Tables 1 and 2).
-pub fn average_path_rtt(topology: Topology, horizon: SimTime) -> (f64, usize) {
-    let outcome = run_best_path_query(topology, horizon, SimDuration::from_secs(2));
-    (outcome.avg_cost, outcome.routes)
-}
-
 /// Average link RTT (cost metric) of a topology.
 pub fn average_link_rtt(topology: &Topology) -> f64 {
     let mut total = 0.0;

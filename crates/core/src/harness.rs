@@ -376,12 +376,7 @@ impl RoutingHarness {
     /// Build a harness over `topology` with default processor and simulator
     /// configuration.
     pub fn new(topology: Topology) -> RoutingHarness {
-        RoutingHarness::with_batch_interval(topology, SimDuration::from_millis(200))
-    }
-
-    /// Build a harness with a custom batch interval (the paper uses 200 ms).
-    pub fn with_batch_interval(topology: Topology, batch: SimDuration) -> RoutingHarness {
-        RoutingHarness::with_transport(topology, batch, None)
+        RoutingHarness::build(topology, None)
     }
 
     /// Build a harness whose processors run the loss-tolerant reliable
@@ -392,21 +387,17 @@ impl RoutingHarness {
         topology: Topology,
         reliability: crate::processor::ReliabilityConfig,
     ) -> RoutingHarness {
-        RoutingHarness::with_transport(topology, SimDuration::from_millis(200), Some(reliability))
+        RoutingHarness::build(topology, Some(reliability))
     }
 
-    /// Build a harness with an explicit batch interval and (optionally) the
-    /// reliable transport — the general constructor behind
-    /// [`RoutingHarness::new`] / [`RoutingHarness::with_batch_interval`] /
+    /// The constructor behind [`RoutingHarness::new`] and
     /// [`RoutingHarness::with_reliability`].
-    pub fn with_transport(
+    pub(crate) fn build(
         topology: Topology,
-        batch: SimDuration,
         reliability: Option<crate::processor::ReliabilityConfig>,
     ) -> RoutingHarness {
         let library = Arc::new(QueryLibrary::new());
         let mut config = ProcessorConfig::new(Arc::clone(&library));
-        config.batch_interval = batch;
         config.reliability = reliability;
         let apps = (0..topology.num_nodes()).map(|_| QueryProcessor::new(config.clone())).collect();
         let sim = Simulator::new(topology, apps, SimConfig::default());

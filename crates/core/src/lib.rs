@@ -22,6 +22,9 @@
 //!   semi-naïve incremental recomputation on base-table updates (paper §8),
 //!   aggregate selections (§7.1), multi-query sharing through the
 //!   `bestPathCache` table (§7.3), and forwarding-state installation.
+//! * [`transport`] — the [`transport::HopTransport`] under the processor:
+//!   per-(hop, query) sequenced streams with cumulative acks,
+//!   retransmission and a reorder buffer, for wires that lose messages.
 //! * [`harness`] — glue for experiments: build a simulator over a topology,
 //!   issue queries through the fluent [`IssueBuilder`], and observe typed
 //!   results, convergence, and communication statistics through
@@ -87,6 +90,7 @@ pub mod localize;
 pub mod processor;
 pub mod query;
 pub mod scenario;
+pub mod transport;
 
 pub use dr_provenance::{
     diff_explanations, DerivationStep, DerivationTree, ExplanationDiff, ProvId, ProvRecord,
@@ -97,10 +101,10 @@ pub use harness::{
 };
 pub use localize::{LocalizedProgram, LocalizedRule, ShipSpec};
 pub use processor::{
-    NetMsg, ProcessorConfig, ProcessorStats, ProvTag, QueryProcessor, ReliabilityConfig,
-    StateFootprint,
+    NetMsg, ProcessorConfig, ProcessorStats, ProvTag, QueryProcessor, StateFootprint,
 };
 pub use query::{QueryId, QueryLibrary, QuerySpec};
 pub use scenario::{
     Probe, QueryDef, QueryReport, Scenario, ScenarioBuilder, ScenarioReport, ScenarioRun,
 };
+pub use transport::ReliabilityConfig;

@@ -8,7 +8,7 @@
 //! distributed dataflow:
 //!
 //! * received and locally derived tuples are batched; every
-//!   `batch_interval` (200 ms in the paper's experiments, §9.1.1) the node
+//!   [`BATCH_INTERVAL`] (200 ms, as in the paper's experiments, §9.1.1) the node
 //!   runs a local semi-naïve fixpoint over its localized rules,
 //! * derived tuples whose home is another node are shipped there, and
 //!   tuples required by remote joins are shipped to the join's anchor node
@@ -22,9 +22,14 @@
 //! * completed best paths can be written into the node-local, cross-query
 //!   `bestPathCache` table and installed along the reverse path, enabling
 //!   the multi-query sharing of §7.3.
+//!
+//! Batches travel between neighbors over the [`HopTransport`] (sequenced,
+//! acknowledged and retransmitted when the deployment turns reliability on).
 
 use crate::localize::LocalizedProgram;
 use crate::query::{QueryId, QueryLibrary, QuerySpec};
+use crate::transport::HopTransport;
+pub use crate::transport::{ReliabilityConfig, StreamSeq};
 use dr_datalog::builtins::Builtins;
 use dr_datalog::database::{Database, Scan};
 use dr_datalog::eval::{apply_aggregate, FiringLog, RelationSource, RuleEval};
@@ -140,22 +145,6 @@ pub enum NetMsg {
     },
 }
 
-/// Sequencing header carried by every reliable-transport tuple batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamSeq {
-    /// Sequence number of this batch on its (sender, receiver, query)
-    /// stream.
-    pub seq: u64,
-    /// Lowest sequence number the sender still retains for retransmission.
-    /// Everything below `base` has either been acknowledged or abandoned
-    /// (retry budget exhausted), so a receiver waiting on a gap below
-    /// `base` must skip it: those batches are never coming, and a low-rate
-    /// stream would otherwise stay wedged behind the hole forever — e.g.
-    /// a batch lost into a failed node's down-time blocking the fresh
-    /// link-state copies shipped after the node rejoins.
-    pub base: u64,
-}
-
 impl NetMsg {
     /// Approximate wire size used for bandwidth accounting. Relation
     /// identity costs the fixed-width [`dr_types::rel::WIRE_TAG_BYTES`]
@@ -192,55 +181,29 @@ impl NetMsg {
     }
 }
 
+/// How often buffered tuples are processed (the paper uses 200 ms).
+pub const BATCH_INTERVAL: SimDuration = SimDuration::from_millis(200);
+
+/// Name of the neighbor-table relation exposed to queries.
+const LINK_RELATION: &str = "link";
+
 /// Configuration shared by every processor in a deployment.
 #[derive(Debug, Clone)]
 pub struct ProcessorConfig {
     /// The query library all nodes share.
     pub library: Arc<QueryLibrary>,
-    /// How often buffered tuples are processed (the paper uses 200 ms).
-    pub batch_interval: SimDuration,
-    /// Name of the neighbor-table relation exposed to queries.
-    pub link_relation: String,
-    /// Loss-tolerant tuple transport. `None` (the default) is the legacy
+    /// Whether the wire can lose messages. `None` (the default) is the
     /// fire-and-forget wire: batches carry no sequence numbers, nothing is
-    /// acknowledged or retransmitted, and the wire accounting is unchanged.
-    /// `Some` turns on per-(peer, query) sequence-numbered streams with
-    /// cumulative acks, retransmission and duplicate suppression — required
-    /// for exact result multisets over lossy links.
+    /// acknowledged or retransmitted. `Some` runs the reliable
+    /// [`HopTransport`] — required for exact result multisets over lossy
+    /// links.
     pub reliability: Option<ReliabilityConfig>,
 }
 
 impl ProcessorConfig {
     /// Standard configuration around a query library.
     pub fn new(library: Arc<QueryLibrary>) -> ProcessorConfig {
-        ProcessorConfig {
-            library,
-            batch_interval: SimDuration::from_millis(200),
-            link_relation: "link".to_string(),
-            reliability: None,
-        }
-    }
-}
-
-/// Tuning knobs of the loss-tolerant tuple transport.
-///
-/// The transport is hop-by-hop: each processor keeps one sequence-numbered
-/// stream per (direct-neighbor hop, query). Unacked batches are resent on a
-/// timeout with exponential backoff; after `max_retries` the batch is
-/// abandoned and the soft-state repair paths (periodic link refresh, lazy
-/// query repair) are left to reconcile whatever the loss broke.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReliabilityConfig {
-    /// Base retransmission timeout; retry `n` waits `rto · 2^min(n, 6)`.
-    pub retransmit_timeout: SimDuration,
-    /// Retransmissions attempted before a batch is abandoned. At 20% loss
-    /// the default of 8 leaves a residual loss below 3·10⁻⁶ per batch.
-    pub max_retries: u32,
-}
-
-impl Default for ReliabilityConfig {
-    fn default() -> ReliabilityConfig {
-        ReliabilityConfig { retransmit_timeout: SimDuration::from_millis(500), max_retries: 8 }
+        ProcessorConfig { library, reliability: None }
     }
 }
 
@@ -277,9 +240,10 @@ pub struct ProcessorStats {
     pub dups_dropped: u64,
     /// Cumulative acknowledgments sent by the reliable transport.
     pub acks_sent: u64,
-    /// Sequence gaps skipped by the reliable transport because the sender
-    /// advertised it had abandoned the missing batches (`StreamSeq::base`
-    /// moved past them). Soft-state repair owns whatever they carried.
+    /// Sequence numbers skipped by the reliable transport, either because
+    /// the sender advertised it had abandoned the missing batches
+    /// (`StreamSeq::base` moved past them) or because the reorder buffer
+    /// overflowed. Soft-state repair owns whatever they carried.
     pub gaps_skipped: u64,
     /// Derivation records written into provenance arenas (zero unless a
     /// query was issued with provenance recording on).
@@ -593,8 +557,8 @@ enum PruneDecision {
 /// The per-node query processor.
 pub struct QueryProcessor {
     config: ProcessorConfig,
-    /// Interned id of `config.link_relation` (the neighbor-table relation),
-    /// resolved once so per-update link tuples never hash the name.
+    /// Interned id of [`LINK_RELATION`], resolved once so per-update link
+    /// tuples never hash the name.
     link_rel: RelId,
     node: NodeId,
     builtins: Builtins,
@@ -614,43 +578,8 @@ pub struct QueryProcessor {
     batch_timer: Option<u64>,
     /// Pending retransmit-scan timer id.
     retx_timer: Option<u64>,
-    /// Reliable-transport send state per (direct-neighbor hop, query).
-    outgoing: BTreeMap<(NodeId, QueryId), OutStream>,
-    /// Reliable-transport receive state per (sending hop, query).
-    incoming: BTreeMap<(NodeId, QueryId), InStream>,
+    transport: HopTransport,
     stats: ProcessorStats,
-}
-
-/// Send side of one reliable (hop, query) stream.
-#[derive(Debug, Default)]
-struct OutStream {
-    /// Sequence number the next batch will carry.
-    next_seq: u64,
-    /// Sent-but-unacknowledged batches, keyed by sequence number.
-    unacked: BTreeMap<u64, PendingBatch>,
-}
-
-/// One sent batch awaiting acknowledgment.
-#[derive(Debug)]
-struct PendingBatch {
-    items: Vec<Tuple>,
-    /// Provenance tags parallel to `items` (empty when not recording), so
-    /// retransmissions carry the same derivation pointers as the original.
-    provs: Vec<ProvTag>,
-    /// Retransmissions performed so far.
-    retries: u32,
-    /// When the next retransmission is due.
-    due: dr_netsim::SimTime,
-}
-
-/// Receive side of one reliable (hop, query) stream.
-#[derive(Debug, Default)]
-struct InStream {
-    /// Next sequence number expected in order (== the cumulative ack).
-    next_expected: u64,
-    /// Out-of-order batches (items plus their provenance tags) held until
-    /// the gap before them fills.
-    buffered: BTreeMap<u64, (Vec<Tuple>, Vec<ProvTag>)>,
 }
 
 /// Tuples queued for shipping, per destination, each with the provenance
@@ -670,12 +599,6 @@ enum ProvAction {
     Wire(NodeId, ProvId),
 }
 
-/// Out-of-order batches buffered per stream before the receiver gives up on
-/// the gap and skips ahead (bounds memory if a batch is permanently lost —
-/// retransmission makes that astronomically unlikely at the loss rates the
-/// chaos tests run, but the bound must exist).
-const REORDER_BUFFER_CAP: usize = 64;
-
 impl QueryProcessor {
     /// Create a processor with the given deployment configuration.
     pub fn new(config: ProcessorConfig) -> QueryProcessor {
@@ -684,10 +607,10 @@ impl QueryProcessor {
         // shares through them, and dropped again when their last user is
         // torn down — a long-lived service node holds no residue of
         // queries that no longer exist.
-        let link_rel = RelId::intern(&config.link_relation);
+        let transport = HopTransport::new(config.reliability);
         QueryProcessor {
             config,
-            link_rel,
+            link_rel: RelId::intern(LINK_RELATION),
             node: NodeId::new(0),
             builtins: Builtins::standard(),
             neighbors: BTreeMap::new(),
@@ -696,15 +619,9 @@ impl QueryProcessor {
             torn_down: std::collections::BTreeSet::new(),
             batch_timer: None,
             retx_timer: None,
-            outgoing: BTreeMap::new(),
-            incoming: BTreeMap::new(),
+            transport,
             stats: ProcessorStats::default(),
         }
-    }
-
-    /// This node's id (valid after the simulation has started).
-    pub fn node_id(&self) -> NodeId {
-        self.node
     }
 
     /// Runtime counters.
@@ -732,20 +649,9 @@ impl QueryProcessor {
         out
     }
 
-    /// The node's current view of its neighbor table.
-    pub fn neighbor_table(&self) -> &BTreeMap<NodeId, Cost> {
-        &self.neighbors
-    }
-
     /// Contents of the cross-query `bestPathCache` table.
     pub fn best_path_cache(&self) -> Vec<Tuple> {
         self.shared.sorted_tuples("bestPathCache")
-    }
-
-    /// Contents of an arbitrary cross-query cache relation (used by queries
-    /// that compute a non-default metric).
-    pub fn shared_cache(&self, relation: &str) -> Vec<Tuple> {
-        self.shared.sorted_tuples(relation)
     }
 
     /// The forwarding table induced by query `qid`: destination → next hop,
@@ -779,14 +685,6 @@ impl QueryProcessor {
     /// grow monotonically across fail/join cycles).
     pub fn prune_entries(&self, qid: QueryId) -> usize {
         self.instances.get(&qid).map(|i| i.prune.len()).unwrap_or(0)
-    }
-
-    /// Remove an installed query and its state (lifetime expiry). Also
-    /// drops the query's shared cache relation when it was the last user —
-    /// dropping the instance alone would leave the cross-query store
-    /// holding paths no remaining query can refresh.
-    pub fn remove_query(&mut self, qid: QueryId) {
-        self.uninstall(qid);
     }
 
     /// True when this node has processed a teardown for `qid` (and will
@@ -846,14 +744,7 @@ impl QueryProcessor {
 
     fn schedule_batch(&mut self, ctx: &mut Context<'_, NetMsg>) {
         if self.batch_timer.is_none() {
-            self.batch_timer = Some(ctx.set_timer(self.config.batch_interval));
-        }
-    }
-
-    fn schedule_retransmit_scan(&mut self, ctx: &mut Context<'_, NetMsg>) {
-        let Some(rel) = self.config.reliability else { return };
-        if self.retx_timer.is_none() {
-            self.retx_timer = Some(ctx.set_timer(rel.retransmit_timeout));
+            self.batch_timer = Some(ctx.set_timer(BATCH_INTERVAL));
         }
     }
 
@@ -927,11 +818,7 @@ impl QueryProcessor {
             return; // already unwound and forwarded
         }
         self.uninstall(qid);
-        // Retire the reliable-transport streams of the dead query: unacked
-        // batches must not be retransmitted into a torn-down query, and the
-        // receive state has nothing left to order.
-        self.outgoing.retain(|(_, q), _| *q != qid);
-        self.incoming.retain(|(_, q), _| *q != qid);
+        self.transport.retire(qid);
         // The spec leaves the shared library here, at the nodes, not at the
         // issuer: removing it when the teardown is *injected* would race
         // in-flight Install floods that still need `library.get(qid)`. The
@@ -1400,10 +1287,8 @@ impl QueryProcessor {
         }
     }
 
-    /// Ship one batch of tuples to a direct-neighbor hop. With reliability
-    /// off this is a plain unsequenced send; with it on, the batch takes the
-    /// next sequence number of the (hop, query) stream and is remembered
-    /// until the hop's cumulative ack covers it.
+    /// Ship one batch of tuples to a direct-neighbor hop, framed by the hop
+    /// transport, and arm the retransmit scan when the transport retains it.
     fn send_tuples(
         &mut self,
         ctx: &mut Context<'_, NetMsg>,
@@ -1412,79 +1297,25 @@ impl QueryProcessor {
         tagged: Vec<(Tuple, ProvTag)>,
     ) {
         let (items, provs) = Self::split_tagged(tagged);
-        let Some(rel) = self.config.reliability else {
-            let msg = NetMsg::Tuples { qid, seq: None, items, provs };
-            let size = msg.wire_size();
-            ctx.send(hop, msg, size);
-            return;
-        };
-        let stream = self.outgoing.entry((hop, qid)).or_default();
-        let seq = stream.next_seq;
-        stream.next_seq += 1;
-        stream.unacked.insert(
-            seq,
-            PendingBatch {
-                items: items.clone(),
-                provs: provs.clone(),
-                retries: 0,
-                due: ctx.now() + rel.retransmit_timeout,
-            },
-        );
-        let base = *stream.unacked.keys().next().expect("just inserted");
-        let msg = NetMsg::Tuples { qid, seq: Some(StreamSeq { seq, base }), items, provs };
+        let msg = self.transport.frame(ctx.now(), hop, qid, items, provs);
         let size = msg.wire_size();
         ctx.send(hop, msg, size);
-        self.schedule_retransmit_scan(ctx);
+        if self.retx_timer.is_none() {
+            self.retx_timer = self.transport.scan_delay().map(|delay| ctx.set_timer(delay));
+        }
     }
 
-    /// Resend every overdue unacked batch (exponential backoff per batch),
-    /// abandon batches past the retry budget, and re-arm the timer while
-    /// anything remains in flight.
-    ///
-    /// The stream's newest unacked batch is never abandoned: it keeps
-    /// retransmitting at the capped backoff interval until acknowledged.
-    /// Its `StreamSeq::base` is what tells a receiver wedged on an
-    /// abandoned gap to skip ahead — if the whole stream went silent after
-    /// abandonment, a hole punched during a peer's down-time would block
-    /// the batches behind it (including the post-rejoin link-state
-    /// refresh) forever.
+    /// Send what the hop transport's retransmit scan asks for, and re-arm
+    /// the scan while anything remains in flight.
     fn retransmit_scan(&mut self, ctx: &mut Context<'_, NetMsg>) {
-        let Some(rel) = self.config.reliability else { return };
-        let now = ctx.now();
-        let mut resend: Vec<(NodeId, NetMsg, usize)> = Vec::new();
-        let mut in_flight = false;
-        for (&(hop, qid), stream) in self.outgoing.iter_mut() {
-            // Abandon overdue batches past the retry budget (except the
-            // newest): the soft-state repair paths own their content now.
-            let newest = stream.unacked.keys().next_back().copied();
-            stream.unacked.retain(|&seq, batch| {
-                batch.due > now || batch.retries < rel.max_retries || Some(seq) == newest
-            });
-            let Some(&base) = stream.unacked.keys().next() else { continue };
-            for (&seq, batch) in stream.unacked.iter_mut() {
-                if batch.due > now {
-                    in_flight = true;
-                    continue;
-                }
-                batch.retries = batch.retries.saturating_add(1);
-                batch.due = now + rel.retransmit_timeout.times(1 << batch.retries.min(6));
-                let msg = NetMsg::Tuples {
-                    qid,
-                    seq: Some(StreamSeq { seq, base }),
-                    items: batch.items.clone(),
-                    provs: batch.provs.clone(),
-                };
-                let size = msg.wire_size();
-                resend.push((hop, msg, size));
-                in_flight = true;
-            }
-        }
-        self.stats.retransmits += resend.len() as u64;
-        for (hop, msg, size) in resend {
+        let scan = self.transport.retransmit_scan(ctx.now());
+        self.stats.retransmits += scan.resend.len() as u64;
+        for (hop, msg) in scan.resend {
+            let size = msg.wire_size();
             ctx.send(hop, msg, size);
         }
-        if in_flight {
-            self.retx_timer = Some(ctx.set_timer(rel.retransmit_timeout));
+        if let Some(delay) = scan.next_scan {
+            self.retx_timer = Some(ctx.set_timer(delay));
         }
     }
 
@@ -2025,70 +1856,6 @@ impl QueryProcessor {
         self.schedule_batch(ctx);
     }
 
-    /// Receive one sequence-numbered batch: suppress duplicates, buffer
-    /// ahead-of-order arrivals, drain in order, and acknowledge cumulatively.
-    ///
-    /// The header's `base` advertises the lowest sequence number the sender
-    /// can still retransmit; gaps below it are abandoned holes, so the
-    /// receiver delivers whatever it holds from the gap (in order) and
-    /// skips past the rest rather than waiting for batches that are never
-    /// coming.
-    fn receive_sequenced(
-        &mut self,
-        ctx: &mut Context<'_, NetMsg>,
-        from: NodeId,
-        qid: QueryId,
-        header: StreamSeq,
-        items: Vec<Tuple>,
-        provs: Vec<ProvTag>,
-    ) {
-        let StreamSeq { seq, base } = header;
-        let stream = self.incoming.entry((from, qid)).or_default();
-        let mut ready: Vec<(Vec<Tuple>, Vec<ProvTag>)> = Vec::new();
-        if base > stream.next_expected {
-            while stream.next_expected < base {
-                match stream.buffered.remove(&stream.next_expected) {
-                    Some(batch) => ready.push(batch),
-                    None => self.stats.gaps_skipped += 1,
-                }
-                stream.next_expected += 1;
-            }
-        }
-        if seq < stream.next_expected || stream.buffered.contains_key(&seq) {
-            // Already applied or already held: a retransmit crossed the ack
-            // (or the wire duplicated the batch). Drop it, but re-ack so the
-            // sender stops retransmitting.
-            self.stats.dups_dropped += 1;
-        } else {
-            stream.buffered.insert(seq, (items, provs));
-            // Drain the in-order prefix.
-            while let Some(batch) = stream.buffered.remove(&stream.next_expected) {
-                ready.push(batch);
-                stream.next_expected += 1;
-            }
-            // A permanently lost batch must not pin unbounded buffer: skip
-            // the gap once too much is held and let soft-state repair cover
-            // whatever the abandoned batch carried.
-            if stream.buffered.len() > REORDER_BUFFER_CAP {
-                if let Some((&lowest, _)) = stream.buffered.iter().next() {
-                    stream.next_expected = lowest;
-                    while let Some(batch) = stream.buffered.remove(&stream.next_expected) {
-                        ready.push(batch);
-                        stream.next_expected += 1;
-                    }
-                }
-            }
-        }
-        for (batch, tags) in ready {
-            self.deliver_tuples(ctx, from, qid, batch, tags);
-        }
-        let cumulative = self.incoming.get(&(from, qid)).map(|s| s.next_expected).unwrap_or(0);
-        let ack = NetMsg::Ack { qid, cumulative };
-        let size = ack.wire_size();
-        ctx.send(from, ack, size);
-        self.stats.acks_sent += 1;
-    }
-
     /// A peer saw tuples for a query it does not know: re-offer the
     /// installation if we hold the spec (re-registering it with the shared
     /// library first — the request models the spec traveling with the
@@ -2192,17 +1959,19 @@ impl NodeApp for QueryProcessor {
                     ctx.send(from, reply, size);
                     return;
                 }
-                match seq {
-                    // Legacy fire-and-forget batch: apply directly.
-                    None => self.deliver_tuples(ctx, from, qid, items, provs),
-                    Some(s) => self.receive_sequenced(ctx, from, qid, s, items, provs),
+                let received = self.transport.receive(from, qid, seq, items, provs);
+                self.stats.dups_dropped += u64::from(received.duplicate);
+                self.stats.gaps_skipped += received.gaps_skipped;
+                for (items, provs) in received.ready {
+                    self.deliver_tuples(ctx, from, qid, items, provs);
+                }
+                if let Some(ack) = received.ack {
+                    let size = ack.wire_size();
+                    ctx.send(from, ack, size);
+                    self.stats.acks_sent += 1;
                 }
             }
-            NetMsg::Ack { qid, cumulative } => {
-                if let Some(stream) = self.outgoing.get_mut(&(from, qid)) {
-                    stream.unacked.retain(|&s, _| s >= cumulative);
-                }
-            }
+            NetMsg::Ack { qid, cumulative } => self.transport.on_ack(from, qid, cumulative),
             NetMsg::QueryRequest { qid } => {
                 self.handle_query_request(ctx, from, qid);
             }

@@ -78,7 +78,7 @@ use crate::harness::{average_cost_of, converged_at, QueryHandle, RoutingHarness,
 use crate::processor::{NetMsg, ProcessorStats, ReliabilityConfig};
 use dr_datalog::ast::Program;
 use dr_netsim::timeline::{EventSource, TimelineEvent};
-use dr_netsim::{FaultPlan, LinkParams, SimDuration, SimTime, Topology};
+use dr_netsim::{FaultPlan, SimDuration, SimTime, Topology};
 use dr_types::view::CostView;
 use dr_types::{Error, NodeId, Result, RouteEntry, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
@@ -202,7 +202,7 @@ pub enum Probe {
     /// Enabled by default; costs one result-set decode per query per
     /// sample, so disable it (`probes([...])`) for large query streams.
     ResultSets,
-    /// The AvgPathRTT series of the tracked query, excluding pairs whose
+    /// The AvgPathRTT series of the first query, excluding pairs whose
     /// endpoints are currently failed and routes traversing a currently
     /// failed node (Figs. 12–15).
     PathRtt,
@@ -217,7 +217,7 @@ pub enum Probe {
     /// [`Recovery::recovery_s`] *excludes* the failure-detection delay,
     /// per the paper's definition.
     Recovery,
-    /// Best-path change counting for the tracked query (Table 3): pairs
+    /// Best-path change counting for the first query (Table 3): pairs
     /// whose path differs between consecutive samples, measured against
     /// the pair set present when the sampling window opened.
     PathChanges,
@@ -328,7 +328,7 @@ pub struct ScenarioReport {
     pub queries: Vec<QueryReport>,
     /// The resolved timeline, in execution order.
     pub events: Vec<EventRecord>,
-    /// AvgPathRTT series `(time_s, ms)` of the tracked query
+    /// AvgPathRTT series `(time_s, ms)` of the first query
     /// ([`Probe::PathRtt`]).
     pub path_rtt: Vec<(f64, f64)>,
     /// Reported AvgLinkRTT series `(time_s, ms)` ([`Probe::LinkRtt`]).
@@ -377,33 +377,28 @@ pub struct ScenarioRun {
 #[must_use = "a scenario only runs when run()/execute() is called"]
 pub struct ScenarioBuilder {
     topology: Topology,
-    batch_interval: SimDuration,
     queries: Vec<QueryDef>,
     events: Vec<TimelineEvent<NetMsg>>,
     sample_every: SimDuration,
     sample_from: SimTime,
     horizon: SimTime,
     probes: Vec<Probe>,
-    tracked: usize,
     fault_plan: Option<FaultPlan>,
     reliability: Option<ReliabilityConfig>,
 }
 
 impl ScenarioBuilder {
-    /// A scenario over `topology` with the defaults: 200 ms batch
-    /// interval, sampling every second from t=0 until t=60 s, and the
-    /// [`Probe::ResultSets`] probe.
+    /// A scenario over `topology` with the defaults: sampling every second
+    /// from t=0 until t=60 s, and the [`Probe::ResultSets`] probe.
     pub fn over(topology: Topology) -> ScenarioBuilder {
         ScenarioBuilder {
             topology,
-            batch_interval: SimDuration::from_millis(200),
             queries: Vec::new(),
             events: Vec::new(),
             sample_every: SimDuration::from_secs(1),
             sample_from: SimTime::ZERO,
             horizon: SimTime::from_secs(60),
             probes: vec![Probe::ResultSets],
-            tracked: 0,
             fault_plan: None,
             reliability: None,
         }
@@ -428,12 +423,6 @@ impl ScenarioBuilder {
     /// faults — e.g. to measure its overhead on a clean wire).
     pub fn reliability(mut self, config: ReliabilityConfig) -> Self {
         self.reliability = Some(config);
-        self
-    }
-
-    /// Override the processors' batch interval (the paper uses 200 ms).
-    pub fn batch_interval(mut self, batch: SimDuration) -> Self {
-        self.batch_interval = batch;
         self
     }
 
@@ -471,11 +460,6 @@ impl ScenarioBuilder {
     /// Rejoin `node` at `at`.
     pub fn join(self, at: SimTime, node: NodeId) -> Self {
         self.event(TimelineEvent::NodeJoin { at, node })
-    }
-
-    /// Change the directed link `from → to` to `params` at `at`.
-    pub fn link_change(self, at: SimTime, from: NodeId, to: NodeId, params: LinkParams) -> Self {
-        self.event(TimelineEvent::LinkChange { at, from, to, params })
     }
 
     /// Deliver `msg` to `node` at `at` (ad-hoc [`NetMsg`] injection).
@@ -543,13 +527,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Which query the route-level probes (PathRtt / Recovery /
-    /// PathChanges) observe. Default: the first.
-    pub fn track_query(mut self, index: usize) -> Self {
-        self.tracked = index;
-        self
-    }
-
     /// Validate and freeze the scenario.
     pub fn build(self) -> Result<Scenario> {
         if self.sample_every == SimDuration::ZERO {
@@ -558,12 +535,8 @@ impl ScenarioBuilder {
         let route_probes = [Probe::PathRtt, Probe::Recovery, Probe::PathChanges]
             .iter()
             .any(|p| self.probes.contains(p));
-        if route_probes && self.tracked >= self.queries.len() {
-            return Err(Error::config(format!(
-                "route-level probes track query #{} but the scenario issues {} queries",
-                self.tracked,
-                self.queries.len()
-            )));
+        if route_probes && self.queries.is_empty() {
+            return Err(Error::config("route-level probes need a query to track"));
         }
         Ok(Scenario { spec: self })
     }
@@ -609,8 +582,7 @@ impl Scenario {
         let mut events = spec.events;
         events.sort_by_key(|e| e.time()); // stable: same-time events keep source order
 
-        let mut harness =
-            RoutingHarness::with_transport(spec.topology, spec.batch_interval, spec.reliability);
+        let mut harness = RoutingHarness::build(spec.topology, spec.reliability);
         if let Some(plan) = spec.fault_plan {
             harness.set_fault_plan(plan);
         }
@@ -633,7 +605,7 @@ impl Scenario {
             event.schedule(harness.sim_mut());
         }
 
-        let tracked = if route_probes { handles.get(spec.tracked).cloned() } else { None };
+        let tracked = if route_probes { handles.first().cloned() } else { None };
         let window_start_bytes = harness.sim().metrics().total_bytes();
 
         let mut samples: Vec<Vec<Sample>> = vec![Vec::new(); handles.len()];
@@ -748,7 +720,7 @@ impl Scenario {
             if want(Probe::ResultSets) {
                 for (i, handle) in handles.iter().enumerate() {
                     let sample = match &mut tracked_sample {
-                        Some(_) if i == spec.tracked => tracked_sample.take().expect("checked"),
+                        Some(_) if i == 0 => tracked_sample.take().expect("checked"),
                         _ => sample_query(&harness, handle)?,
                     };
                     samples[i].push(sample);
@@ -898,7 +870,7 @@ fn best_paths(
 mod tests {
     use super::*;
     use dr_datalog::parse_program;
-    use dr_netsim::SimConfig;
+    use dr_netsim::{LinkParams, SimConfig};
     use dr_types::Cost;
 
     const BEST_PATH: &str = r#"

@@ -1810,12 +1810,6 @@ impl Evaluator {
         })
     }
 
-    /// Replace the builtin function library (e.g. to register custom metric
-    /// composition functions before running).
-    pub fn set_builtins(&mut self, builtins: Builtins) {
-        self.builtins = builtins;
-    }
-
     /// The catalog derived from the program.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog

@@ -215,11 +215,6 @@ impl<'a, M: Clone> Context<'a, M> {
             .collect()
     }
 
-    /// The parameters of the link to `neighbor`, if it exists.
-    pub fn link_to(&self, neighbor: NodeId) -> Option<LinkParams> {
-        self.world.topology.link(self.node, neighbor).copied()
-    }
-
     /// Send `msg` of `bytes` wire size to `neighbor`.
     ///
     /// The message is dropped (and counted as such) when there is no link,
@@ -337,12 +332,6 @@ impl<A: NodeApp> Simulator<A> {
     /// Immutable access to a node's application.
     pub fn app(&self, node: NodeId) -> &A {
         &self.apps[node.index()]
-    }
-
-    /// Mutable access to a node's application (for harness-side injection
-    /// between events).
-    pub fn app_mut(&mut self, node: NodeId) -> &mut A {
-        &mut self.apps[node.index()]
     }
 
     /// Iterate over all applications.

@@ -239,7 +239,7 @@ impl WireValue {
 pub enum Request {
     /// Open a session. Must be the first request on a connection.
     Connect {
-        /// Client name for logs and stats.
+        /// Client name (informational: the service does not keep it).
         client: String,
     },
     /// Parse, localize, and disseminate a query; the session owns it.
@@ -909,13 +909,6 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 pub fn frame_request(req: &Request) -> Vec<u8> {
     let mut payload = Vec::new();
     req.encode(&mut payload);
-    frame(&payload)
-}
-
-/// Encode a response as a ready-to-send frame.
-pub fn frame_response(resp: &Response) -> Vec<u8> {
-    let mut payload = Vec::new();
-    resp.encode(&mut payload);
     frame(&payload)
 }
 

@@ -152,8 +152,8 @@ fn engine_loop(
                 ConnEvent::Request(id, req) => {
                     let Some(conn) = conns.get_mut(&id) else { continue };
                     let resp = match (conn.session, req) {
-                        (None, Request::Connect { client }) => {
-                            let (sid, resp) = service.connect(&client);
+                        (None, Request::Connect { .. }) => {
+                            let (sid, resp) = service.connect();
                             conn.session = Some(sid);
                             resp
                         }

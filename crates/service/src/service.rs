@@ -63,7 +63,6 @@ struct Subscription {
 /// Per-session state.
 #[derive(Debug)]
 struct Session {
-    client: String,
     /// Queries this session issued and still owns.
     queries: BTreeSet<QueryId>,
     /// Subscriptions, keyed by query (one cursor per query per session).
@@ -148,17 +147,12 @@ impl RoutingService {
     }
 
     /// Open a session. The transport calls this on `Request::Connect`.
-    pub fn connect(&mut self, client: &str) -> (u64, Response) {
+    pub fn connect(&mut self) -> (u64, Response) {
         let sid = self.next_session;
         self.next_session += 1;
         self.sessions.insert(
             sid,
-            Session {
-                client: client.to_string(),
-                queries: BTreeSet::new(),
-                subs: BTreeMap::new(),
-                outbox: VecDeque::new(),
-            },
+            Session { queries: BTreeSet::new(), subs: BTreeMap::new(), outbox: VecDeque::new() },
         );
         self.counters.sessions_opened += 1;
         let resp = Response::Connected {
@@ -442,11 +436,6 @@ impl RoutingService {
         }
         lines
     }
-
-    /// The connected client names (diagnostics).
-    pub fn client_names(&self) -> Vec<String> {
-        self.sessions.values().map(|s| s.client.clone()).collect()
-    }
 }
 
 /// A small deterministic topology for service defaults and examples: an
@@ -485,7 +474,7 @@ mod tests {
     #[test]
     fn issue_advance_subscribe_teardown_lifecycle() {
         let mut svc = service(8);
-        let (sid, resp) = svc.connect("t");
+        let (sid, resp) = svc.connect();
         assert!(matches!(resp, Response::Connected { nodes: 8, .. }));
 
         let resp = svc.apply(
@@ -517,7 +506,7 @@ mod tests {
     #[test]
     fn explain_round_trip_and_typed_failures() {
         let mut svc = service(8);
-        let (sid, _) = svc.connect("explainer");
+        let (sid, _) = svc.connect();
 
         // Unknown query: typed error, not a wedge.
         let bogus = WireTuple { relation: "bestPath".into(), values: vec![] };
@@ -591,8 +580,8 @@ mod tests {
             default_topology(4),
             ServiceConfig { max_queries_per_session: 1, ..ServiceConfig::default() },
         );
-        let (alice, _) = svc.connect("alice");
-        let (bob, _) = svc.connect("bob");
+        let (alice, _) = svc.connect();
+        let (bob, _) = svc.connect();
         let issue =
             |options: IssueOptions| Request::IssueQuery { program: BEST_PATH.to_string(), options };
 
@@ -625,7 +614,7 @@ mod tests {
     #[test]
     fn disconnect_tears_down_owned_queries() {
         let mut svc = service(6);
-        let (sid, _) = svc.connect("ephemeral");
+        let (sid, _) = svc.connect();
         let Response::Issued { .. } = svc.apply(
             sid,
             Request::IssueQuery {
@@ -641,7 +630,7 @@ mod tests {
         svc.disconnect(sid);
         // Time must keep flowing for the teardown flood to propagate; a
         // surviving session (or the server tick) provides that.
-        let (other, _) = svc.connect("survivor");
+        let (other, _) = svc.connect();
         svc.apply(other, Request::Advance { millis: 10_000 });
         assert_eq!(svc.live_queries(), 0);
         assert!(svc.harness().state_footprint().is_empty());
@@ -653,7 +642,7 @@ mod tests {
             default_topology(8),
             ServiceConfig { subscriber_queue_cap: 2, ..ServiceConfig::default() },
         );
-        let (sid, _) = svc.connect("slow");
+        let (sid, _) = svc.connect();
         let Response::Issued { qid } = svc.apply(
             sid,
             Request::IssueQuery {

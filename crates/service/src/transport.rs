@@ -130,8 +130,8 @@ impl HubInner {
             }
         };
         match (self.conns[id].session, req) {
-            (None, Request::Connect { client }) => {
-                let (sid, resp) = self.service.connect(&client);
+            (None, Request::Connect { .. }) => {
+                let (sid, resp) = self.service.connect();
                 self.conns[id].session = Some(sid);
                 resp
             }
@@ -272,12 +272,6 @@ impl TcpTransport {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         Ok(TcpTransport { stream, buf: FrameBuf::new(), scratch: [0; 64 * 1024] })
-    }
-
-    /// Wrap an already-connected stream (the server's per-connection side).
-    pub fn from_stream(stream: TcpStream) -> TcpTransport {
-        stream.set_nodelay(true).ok();
-        TcpTransport { stream, buf: FrameBuf::new(), scratch: [0; 64 * 1024] }
     }
 }
 

@@ -22,6 +22,10 @@
 //!   semi-naïve incremental recomputation on base-table updates (paper §8),
 //!   aggregate selections (§7.1), multi-query sharing through the
 //!   `bestPathCache` table (§7.3), and forwarding-state installation.
+//! * `admission` — the `AdmissionGate` each installed query
+//!   runs its derived tuples through: aggregate-selection pruning per next
+//!   hop (§7.1), ∞-tombstone collapse and eviction, and the revival of dead
+//!   route groups during incremental maintenance (§8).
 //! * [`transport`] — the [`transport::HopTransport`] under the processor:
 //!   per-(hop, query) sequenced streams with cumulative acks,
 //!   retransmission and a reorder buffer, for wires that lose messages.
@@ -85,6 +89,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod admission;
 pub mod harness;
 pub mod localize;
 pub mod processor;

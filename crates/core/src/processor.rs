@@ -16,16 +16,19 @@
 //!   Figure 2 "clouds"),
 //! * aggregate selections (§7.1) prune dominated tuples before they are
 //!   stored or shipped — with per-next-hop granularity so that alternate
-//!   routes survive for failure recovery (§8),
+//!   routes survive for failure recovery (§8) — behind the `AdmissionGate`
+//!   of `crate::admission`, one per installed query,
 //! * link failures and metric changes arrive as neighbor-table updates and
 //!   are folded into the same incremental dataflow (cost-∞ poisoning),
 //! * completed best paths can be written into the node-local, cross-query
 //!   `bestPathCache` table and installed along the reverse path, enabling
-//!   the multi-query sharing of §7.3.
+//!   the multi-query sharing of §7.3 (decided in one place,
+//!   `QueryProcessor::route_tuple`).
 //!
 //! Batches travel between neighbors over the [`HopTransport`] (sequenced,
 //! acknowledged and retransmitted when the deployment turns reliability on).
 
+use crate::admission::{Admission, AdmissionGate};
 use crate::localize::LocalizedProgram;
 use crate::query::{QueryId, QueryLibrary, QuerySpec};
 use crate::transport::HopTransport;
@@ -33,10 +36,9 @@ pub use crate::transport::{ReliabilityConfig, StreamSeq};
 use dr_datalog::builtins::Builtins;
 use dr_datalog::database::{Database, Scan};
 use dr_datalog::eval::{apply_aggregate, FiringLog, RelationSource, RuleEval};
-use dr_datalog::rewrite::AggSelection;
 use dr_netsim::{Context, LinkEvent, NodeApp, SimDuration};
 use dr_provenance::{ProvId, ProvRecord, ProvRef, ProvStore};
-use dr_types::{Cost, NodeId, RelId, Tuple, TupleKey, Value};
+use dr_types::{Cost, NodeId, PathVector, RelId, Tuple, TupleKey, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -330,20 +332,6 @@ impl StateFootprint {
 /// amortize the compile over every subsequent batch.
 const REPLAN_MIN_ROWS: usize = 192;
 
-/// Consecutive idle, tombstone-free batches required before a queued
-/// revival round may run. A batch that starts with no pending deltas only
-/// proves the invalidation wave has passed *this node*; on dense overlays
-/// a wave keeps bouncing between farther nodes for many batch intervals,
-/// and reviving into it re-floods routes the in-flight poisons are about
-/// to kill — each re-flood feeds the wave new tombstones, whose arrival
-/// queues further revivals, a self-sustaining storm that melts the 36-node
-/// dense-overlay churn figure. Demanding a short window with no ∞
-/// tombstone sightings either is a cheap local proxy for "the wave has
-/// died down globally", and it spaces repeat rounds automatically: a round
-/// drains the whole queue, so the queue can only refill through new
-/// tombstones, which reset this very counter.
-const REVIVE_QUIET_BATCHES: u32 = 2;
-
 /// Per-installed-query state.
 struct Instance {
     spec: Arc<QuerySpec>,
@@ -359,47 +347,17 @@ struct Instance {
     replanned: bool,
     /// Deltas accumulated since the last batch, keyed by interned relation.
     pending: HashMap<RelId, Vec<Tuple>>,
-    /// Aggregate-selection state: (input relation, prune key) → (identity
-    /// key of current best, its value). Bounded: entries whose backing
-    /// stored tuple disappears are evicted (see
-    /// [`Instance::evict_stale_prune_groups`]).
-    prune: HashMap<(RelId, Vec<Value>), (Vec<Value>, Value)>,
+    /// The aggregate-selection admission gate and its prune state.
+    gate: AdmissionGate,
     /// Interned id of the spec's cross-query cache relation.
     cache_rel: RelId,
-    /// Number of `prune` entries whose recorded best is an ∞ tombstone.
-    /// Maintained by `prune_pass` so the eviction sweep can be skipped
-    /// entirely (steady state holds thousands of finite entries and zero
-    /// tombstones).
-    prune_tombstones: usize,
-    /// Revival requests: `(input relation, its aggregate value field,
-    /// required (field, value) bindings)` for prune groups whose recorded
-    /// best was just poisoned to ∞. Semi-naïve evaluation alone cannot
-    /// repair such a group: the surviving alternatives are *stored* tuples,
-    /// not deltas, so the joins that would re-derive (and re-ship) them
-    /// never re-fire. Each request re-injects this node's stored finite
-    /// tuples matching the dead group's non-location columns as deltas at
-    /// the next batch round (see [`QueryProcessor::process_revivals`]).
-    revive: std::collections::HashSet<ReviveRequest>,
-    /// Set by `prune_pass` whenever an ∞ tombstone reaches this instance —
-    /// the signal that an invalidation wave is still active nearby. Cleared
-    /// (into `revive_quiet = 0`) at the start of every batch.
-    poison_seen: bool,
-    /// Consecutive batches that started idle with no tombstone sightings.
-    /// Queued revivals only run once this reaches
-    /// [`REVIVE_QUIET_BATCHES`].
-    revive_quiet: u32,
     /// Derivation-provenance arena, allocated only when the spec asks for
     /// recording ([`QuerySpec::record_provenance`]). `None` means the query
     /// runs the exact pre-provenance hot path: no store, no per-firing
     /// bookkeeping, empty wire tags. Owned by the instance so teardown
     /// drops every record with the rest of the query's state.
     prov: Option<ProvStore>,
-    installed: bool,
 }
-
-/// A revival request: `(input relation, its aggregate value field, required
-/// (field, value) bindings)` — see [`Instance::revive`].
-type ReviveRequest = (RelId, usize, Vec<(usize, Value)>);
 
 impl Instance {
     fn new(spec: Arc<QuerySpec>) -> Instance {
@@ -435,20 +393,16 @@ impl Instance {
         }
         let cache_rel = RelId::intern(&spec.cache_relation);
         let prov = spec.record_provenance.then(ProvStore::new);
+        let gate = AdmissionGate::new(Arc::clone(&spec.program), spec.aggregate_selections);
         Instance {
             spec,
             db,
             compiled,
             replanned: false,
             pending: HashMap::new(),
-            prune: HashMap::new(),
+            gate,
             cache_rel,
-            prune_tombstones: 0,
-            revive: std::collections::HashSet::new(),
-            poison_seen: false,
-            revive_quiet: 0,
             prov,
-            installed: false,
         }
     }
 
@@ -487,38 +441,6 @@ impl Instance {
     fn has_pending(&self) -> bool {
         self.pending.values().any(|v| !v.is_empty())
     }
-
-    /// Evict aggregate-selection prune entries of (destination, next-hop)
-    /// groups whose route is dead — the recorded best is an ∞-cost
-    /// tombstone (the ROADMAP follow-up: without this the map grows
-    /// monotonically under churn, one entry per route group the deployment
-    /// ever considered).
-    ///
-    /// Only ∞ entries are evictable. A finite entry may back a best that
-    /// was *shipped* rather than stored locally, and it is what lets the
-    /// next ∞ derivation for its group pass the `invalidates_best` gate in
-    /// [`QueryProcessor::prune_pass`] — dropping it would collapse a
-    /// tombstone the remote home still needs. An ∞ entry, by contrast, has
-    /// already done its job: the group's invalidation was admitted and
-    /// propagated. After eviction a finite revival of the group is simply
-    /// admitted fresh (it would have beaten ∞ anyway), and further ∞ ties
-    /// still collapse through the stored-tuple check, so recovery semantics
-    /// are unchanged while dead groups stop accumulating.
-    ///
-    /// Returns the number of entries evicted. The sweep only runs when the
-    /// map outgrows a small floor *and* actually holds tombstones (tracked
-    /// by `prune_tombstones`), so converged steady-state batches — all
-    /// finite entries — never pay the O(map) scan.
-    fn evict_stale_prune_groups(&mut self) -> u64 {
-        const SWEEP_FLOOR: usize = 64;
-        if self.prune_tombstones == 0 || self.prune.len() <= SWEEP_FLOOR {
-            return 0;
-        }
-        let before = self.prune.len();
-        self.prune.retain(|_, (_, value)| !value.is_infinite_cost());
-        self.prune_tombstones = 0;
-        (before - self.prune.len()) as u64
-    }
 }
 
 /// Read-through view over the query-local database and the node's shared
@@ -541,17 +463,6 @@ impl RelationSource for Overlay<'_> {
     fn probe_key(&self, key: &TupleKey, fields: &[usize]) -> Scan<'_> {
         self.local.probe_key(key, fields).chain(self.shared.probe_key(key, fields))
     }
-}
-
-/// Outcome of the aggregate-selection admission check for one tuple.
-enum PruneDecision {
-    /// Store/ship the tuple.
-    Admit,
-    /// A strictly better tuple for the prune group is already known.
-    Dominated,
-    /// An ∞-cost tombstone that invalidates nothing this node stored or
-    /// shipped — dropped instead of propagated (§8).
-    TombstoneCollapsed,
 }
 
 /// The per-node query processor.
@@ -582,21 +493,29 @@ pub struct QueryProcessor {
     stats: ProcessorStats,
 }
 
-/// Tuples queued for shipping, per destination, each with the provenance
-/// tag the receiver should alias it to (`None` for base facts or
-/// non-recording queries).
-type Outbound = BTreeMap<NodeId, Vec<(Tuple, ProvTag)>>;
+/// What routing queued for the wire, sent by
+/// [`QueryProcessor::flush_outbound`] in this order.
+#[derive(Default)]
+struct Outbound {
+    /// Tuples per destination, each with the provenance tag the receiver
+    /// should alias it to (`None` for base facts or non-recording queries).
+    tuples: BTreeMap<NodeId, Vec<(Tuple, ProvTag)>>,
+    /// First hops of reverse-path cache installations (§7.3).
+    cache_installs: Vec<(NodeId, NetMsg)>,
+}
 
-/// How a tuple entering [`QueryProcessor::route_tuple`] got here, for
-/// provenance bookkeeping (ignored unless the query records provenance).
-enum ProvAction {
-    /// Derived by a local rule firing: record it in the arena. Carries the
-    /// rule's index in the localized program and the body tuples the
-    /// firing joined, in planned join order.
-    Fired(u32, Vec<Tuple>),
-    /// Arrived over the wire carrying a pointer to its deriving node's
-    /// record: alias it.
-    Wire(NodeId, ProvId),
+/// Where a tuple entering [`QueryProcessor::route_tuple`] came from.
+enum Origin {
+    /// A base fact or neighbor-table tuple seeded at this node. Unlike the
+    /// other two, it never starts a reverse-path cache installation.
+    Base,
+    /// Derived by a local rule firing. When the query records provenance it
+    /// carries the rule's index in the localized program and the body
+    /// tuples the firing joined, in planned join order, to record.
+    Fired(Option<(u32, Vec<Tuple>)>),
+    /// Arrived over the wire, with the pointer to its deriving node's
+    /// record to alias when the query records provenance.
+    Wire(ProvTag),
 }
 
 impl QueryProcessor {
@@ -684,7 +603,7 @@ impl QueryProcessor {
     /// query `qid` (regression hook for the churn tests: the map must not
     /// grow monotonically across fail/join cycles).
     pub fn prune_entries(&self, qid: QueryId) -> usize {
-        self.instances.get(&qid).map(|i| i.prune.len()).unwrap_or(0)
+        self.instances.get(&qid).map_or(0, |i| i.gate.entries())
     }
 
     /// True when this node has processed a teardown for `qid` (and will
@@ -710,7 +629,7 @@ impl QueryProcessor {
         for instance in self.instances.values() {
             f.stored_tuples += instance.db.total_tuples();
             f.pending_tuples += instance.pending.values().map(Vec::len).sum::<usize>();
-            f.prune_entries += instance.prune.len();
+            f.prune_entries += instance.gate.entries();
             f.prov_records += instance.prov.as_ref().map_or(0, ProvStore::residue);
         }
         f
@@ -755,7 +674,7 @@ impl QueryProcessor {
         if self.torn_down.contains(&qid) {
             return;
         }
-        if self.instances.get(&qid).map(|i| i.installed).unwrap_or(false) {
+        if self.instances.contains_key(&qid) {
             return;
         }
         let Some(spec) = self.config.library.get(qid) else { return };
@@ -765,7 +684,6 @@ impl QueryProcessor {
         let program = Arc::clone(&spec.program);
         let instance =
             self.instances.entry(qid).or_insert_with(|| Instance::new(Arc::clone(&spec)));
-        instance.installed = true;
         // Mirror the plans' probe-field declarations onto the shared
         // (cross-query) store, so joins against cache relations such as
         // `bestPathCache` are index-served on both sides of the overlay.
@@ -777,20 +695,13 @@ impl QueryProcessor {
             self.shared.declare_index(rel, field);
         }
 
-        // Flood the installation to all neighbors.
-        let msg = NetMsg::Install { qid };
-        let size = program.dissemination_size();
-        let neighbor_ids: Vec<NodeId> = self.neighbors.keys().copied().collect();
-        for nb in &neighbor_ids {
-            ctx.send(*nb, msg.clone(), size);
-        }
+        self.flood(ctx, NetMsg::Install { qid }, program.dissemination_size());
 
         // Install the query's facts: replicated relations everywhere, others
         // only at their home node.
-        let mut outbound: Outbound = BTreeMap::new();
-        let facts: Vec<Tuple> = spec.facts.clone();
-        for fact in facts {
-            self.route_tuple(qid, fact, None, &mut outbound);
+        let mut outbound = Outbound::default();
+        for fact in spec.facts.iter().cloned() {
+            self.route_tuple(qid, fact, Origin::Base, &mut outbound);
         }
         // Materialize the program's own ground facts (constant rules such as
         // the `magicSources` / `magicDsts` of a pair query). Since every node
@@ -798,13 +709,13 @@ impl QueryProcessor {
         // installed locally everywhere, and located facts only at their home
         // node — no shipping required.
         for fact in self.materialize_program_facts(&program) {
-            self.route_tuple(qid, fact, None, &mut outbound);
+            self.route_tuple(qid, fact, Origin::Base, &mut outbound);
         }
         // Seed the neighbor table as `link` base tuples.
         let links: Vec<Tuple> =
             self.neighbors.iter().map(|(nb, cost)| self.link_tuple(*nb, *cost)).collect();
         for link in links {
-            self.route_tuple(qid, link, None, &mut outbound);
+            self.route_tuple(qid, link, Origin::Base, &mut outbound);
         }
         self.flush_outbound(ctx, qid, outbound);
         self.schedule_batch(ctx);
@@ -826,10 +737,26 @@ impl QueryProcessor {
         self.config.library.remove(qid);
         let msg = NetMsg::Teardown { qid };
         let size = msg.wire_size();
-        let neighbor_ids: Vec<NodeId> = self.neighbors.keys().copied().collect();
-        for nb in neighbor_ids {
+        self.flood(ctx, msg, size);
+    }
+
+    /// Send `msg`, charged `size` bytes, to every neighbor.
+    fn flood(&self, ctx: &mut Context<'_, NetMsg>, msg: NetMsg, size: usize) {
+        for &nb in self.neighbors.keys() {
             ctx.send(nb, msg.clone(), size);
         }
+    }
+
+    /// When `qid` was torn down here, reply `Teardown` to `peer` and return
+    /// true — lazy teardown repair: a peer that missed the teardown flood
+    /// (it was down at the time) and still talks about the dead query
+    /// learns of the teardown the moment it talks to anyone who saw it.
+    fn refuse_torn_down(&self, ctx: &mut Context<'_, NetMsg>, peer: NodeId, qid: QueryId) -> bool {
+        if !self.torn_down.contains(&qid) {
+            return false;
+        }
+        send(ctx, peer, NetMsg::Teardown { qid });
+        true
     }
 
     /// Drop query `qid`'s instance. The instance owns everything the query
@@ -876,351 +803,127 @@ impl QueryProcessor {
         out
     }
 
-    /// Store or forward one tuple for query `qid`. Returns true when the
-    /// tuple was newly stored locally.
+    /// Store or forward one tuple for query `qid`.
     ///
-    /// `prov` describes where the tuple came from for provenance purposes
-    /// (a local rule firing, or a wire tag from its deriving node); it is
-    /// ignored — and should be `None` — unless the query records
+    /// `origin` says where the tuple came from. For provenance, a firing
+    /// is recorded and a wire tag aliased, unless the query does not record
     /// provenance. Only *admitted* tuples are bound: dominated and
     /// collapsed derivations leave no provenance residue, and a keyed
     /// upsert forgets the displaced tuple's record, so the store tracks
     /// exactly the live routing state.
-    fn route_tuple(
-        &mut self,
-        qid: QueryId,
-        tuple: Tuple,
-        prov: Option<ProvAction>,
-        outbound: &mut Outbound,
-    ) -> bool {
-        let my_id = self.node;
-        let batch = self.stats.batches;
-        // Work on the instance first; side effects on other processor fields
-        // (stats, shared cache) are applied after the borrow ends.
-        let mut pruned = false;
-        let mut collapsed = false;
-        let mut stored = false;
-        let mut recorded = false;
-        let mut cache_entry: Option<Tuple> = None;
-        {
-            let Some(instance) = self.instances.get_mut(&qid) else { return false };
-            let program = Arc::clone(&instance.spec.program);
-            let relation = tuple.rel();
-
-            // Aggregate-selection pruning (per next-hop granularity).
-            let mut admitted = true;
-            if instance.spec.aggregate_selections {
-                if let Some(sel) =
-                    program.agg_selections.iter().find(|s| s.input_relation == relation)
-                {
-                    match Self::prune_pass(instance, sel, &program, &tuple, my_id) {
-                        PruneDecision::Admit => {}
-                        PruneDecision::Dominated => {
-                            pruned = true;
-                            admitted = false;
-                        }
-                        PruneDecision::TombstoneCollapsed => {
-                            collapsed = true;
-                            admitted = false;
-                        }
-                    }
-                }
-            }
-
-            if admitted {
-                // Bind the admitted tuple's provenance. A firing is
-                // recorded at the deriving node even when the tuple's home
-                // is remote: the shipped copy links back here, and
-                // `ProvFetch` resolves the pointer on demand.
-                let mut tag: ProvTag = None;
-                // A wire tag is only aliased into the store if the tuple is
-                // actually stored below — a tuple merely relayed onward must
-                // not leave a binding at the relay.
-                let mut wire_ref: Option<ProvRef> = None;
-                if let Some(store) = instance.prov.as_mut() {
-                    match prov {
-                        Some(ProvAction::Fired(rule, body)) => {
-                            let body_refs: Vec<(Tuple, ProvRef)> = body
-                                .into_iter()
-                                .map(|b| {
-                                    let r = store.resolve(&b);
-                                    (b, r)
-                                })
-                                .collect();
-                            let pid = store.record(tuple.clone(), rule, my_id, batch, body_refs);
-                            recorded = true;
-                            tag = Some((my_id, pid));
-                        }
-                        Some(ProvAction::Wire(origin, pid)) => {
-                            wire_ref = Some(if origin == my_id {
-                                ProvRef::Local(pid)
-                            } else {
-                                ProvRef::Remote(origin, pid)
-                            });
-                            tag = Some((origin, pid));
-                        }
-                        None => {}
-                    }
-                }
-
-                let loc_field = program.catalog.location_field(relation);
-                let home = tuple.node_at(loc_field);
-                let replicated = program.is_replicated(relation);
-
-                match home {
-                    Some(h) if h != my_id && !replicated => {
-                        outbound.entry(h).or_default().push((tuple.clone(), tag));
-                    }
-                    _ => {
-                        let outcome = instance.db.insert(tuple.clone());
-                        // A keyed upsert displaced an older tuple: its
-                        // provenance dies with it.
-                        if let Some(old) = outcome.replaced.as_ref() {
-                            if let Some(store) = instance.prov.as_mut() {
-                                store.forget(old);
-                            }
-                        }
-                        if outcome.added {
-                            stored = true;
-                            if let Some(r) = wire_ref {
-                                if let Some(store) = instance.prov.as_mut() {
-                                    store.alias(tuple.clone(), r);
-                                }
-                            }
-                            instance.pending.entry(relation).or_default().push(tuple.clone());
-
-                            // Ship copies required by remote joins (the
-                            // Figure 2 clouds).
-                            for ship in program.ships_for(relation) {
-                                let Some(dest) = tuple.node_at(ship.target_field) else {
-                                    continue;
-                                };
-                                let cache_tuple =
-                                    Tuple::from_rel(ship.cache_relation, tuple.fields().to_vec());
-                                if dest == my_id {
-                                    let copy_outcome = instance.db.insert(cache_tuple.clone());
-                                    if let Some(store) = instance.prov.as_mut() {
-                                        if let Some(old) = copy_outcome.replaced.as_ref() {
-                                            store.forget(old);
-                                        }
-                                    }
-                                    if copy_outcome.added {
-                                        // The copy proves nothing new: it
-                                        // aliases the source tuple's own
-                                        // provenance.
-                                        if let (Some(store), Some((n, p))) =
-                                            (instance.prov.as_mut(), tag)
-                                        {
-                                            let r = if n == my_id {
-                                                ProvRef::Local(p)
-                                            } else {
-                                                ProvRef::Remote(n, p)
-                                            };
-                                            store.alias(cache_tuple.clone(), r);
-                                        }
-                                        instance
-                                            .pending
-                                            .entry(ship.cache_relation)
-                                            .or_default()
-                                            .push(cache_tuple);
-                                    }
-                                } else {
-                                    outbound.entry(dest).or_default().push((cache_tuple, tag));
-                                }
-                            }
-
-                            // Multi-query sharing: completed best paths go
-                            // into the shared cache.
-                            if instance.spec.share_results
-                                && program.result_relations.contains(&relation)
-                            {
-                                cache_entry =
-                                    Self::cache_entry_from_result(instance.cache_rel, &tuple);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if pruned {
-            self.stats.tuples_pruned += 1;
-        }
-        if collapsed {
-            self.stats.tuples_pruned += 1;
-            self.stats.tombstones_collapsed += 1;
-        }
-        if stored {
-            self.stats.tuples_derived += 1;
-        }
-        if recorded {
-            self.stats.prov_recorded += 1;
-        }
-        if let Some(cache) = cache_entry {
-            self.shared.insert(cache);
-        }
-        stored
-    }
-
-    /// Aggregate-selection admission check. Keeps: updates of the current
-    /// best (same identity key), and tuples at least as good as the best
-    /// known for their prune key. The prune key extends the aggregate's
-    /// group with every node-valued field outside the group and the first
-    /// hop of any path-vector field, so one best route is retained *per next
-    /// hop* (needed for recovery after failures, §8).
     ///
-    /// Infinite-cost derivations are special-cased: an ∞ tombstone's only
-    /// job is invalidating the stored/shipped best path and its cache
-    /// entries (§8 rule NR3). Since every ∞ derivation ties in the
-    /// aggregate, admitting them all would enumerate the whole failed path
-    /// space; instead only the tombstones that actually invalidate
-    /// something this node stored or shipped are admitted — one per
-    /// (destination, next-hop) prune group plus one per stale stored tuple
-    /// — and every other ∞ derivation collapses. Failure recovery becomes a
-    /// single invalidation wave over the existing routing state instead of
-    /// an exponential re-exploration.
-    /// The prune-map coordinates of a tuple: its group key (aggregate group
-    /// extended with every node-valued field outside the group and the
-    /// first hop of any path-vector field — i.e. per next hop) and its
-    /// identity (the catalog key fields, distinguishing updates of one
-    /// route from competing routes).
-    fn prune_key_and_identity(
-        sel: &AggSelection,
-        program: &LocalizedProgram,
-        tuple: &Tuple,
-    ) -> ((RelId, Vec<Value>), Vec<Value>) {
-        let mut group: Vec<Value> =
-            sel.group_fields.iter().filter_map(|&i| tuple.field(i).cloned()).collect();
-        for (i, field) in tuple.fields().iter().enumerate() {
-            if i == sel.value_field || sel.group_fields.contains(&i) {
-                continue;
+    /// This is also the one place that decides multi-query sharing (§7.3):
+    /// a newly stored result of a sharing query goes into the shared cache,
+    /// and when it is a finite best path from this node, derived here or
+    /// received, the first hop of its reverse-path installation is queued
+    /// on `outbound`.
+    fn route_tuple(&mut self, qid: QueryId, tuple: Tuple, origin: Origin, outbound: &mut Outbound) {
+        let my_id = self.node;
+        let Some(instance) = self.instances.get_mut(&qid) else { return };
+        match instance.gate.admit(&instance.db, &tuple, my_id) {
+            Admission::Admit => {}
+            Admission::Dominated => {
+                self.stats.tuples_pruned += 1;
+                return;
             }
-            match field {
-                Value::Node(_) => group.push(field.clone()),
-                Value::Path(p) if p.len() >= 2 => group.push(Value::Node(p.nodes()[1])),
+            Admission::TombstoneCollapsed => {
+                self.stats.tuples_pruned += 1;
+                self.stats.tombstones_collapsed += 1;
+                return;
+            }
+        }
+        let program = Arc::clone(&instance.spec.program);
+        let relation = tuple.rel();
+        let dataflow = !matches!(origin, Origin::Base);
+
+        // Bind the admitted tuple's provenance. A firing is recorded at the
+        // deriving node even when the tuple's home is remote: the shipped
+        // copy links back here, and `ProvFetch` resolves the pointer on
+        // demand.
+        let mut tag: ProvTag = None;
+        // A wire tag is only aliased into the store if the tuple is
+        // actually stored below — a tuple merely relayed onward must not
+        // leave a binding at the relay.
+        let mut wire_ref: Option<ProvRef> = None;
+        if let Some(store) = instance.prov.as_mut() {
+            match origin {
+                Origin::Fired(Some((rule, body))) => {
+                    let body_refs: Vec<(Tuple, ProvRef)> = body
+                        .into_iter()
+                        .map(|b| {
+                            let r = store.resolve(&b);
+                            (b, r)
+                        })
+                        .collect();
+                    let batch = self.stats.batches;
+                    let pid = store.record(tuple.clone(), rule, my_id, batch, body_refs);
+                    self.stats.prov_recorded += 1;
+                    tag = Some((my_id, pid));
+                }
+                Origin::Wire(Some((origin, pid))) => {
+                    wire_ref = Some(prov_ref(my_id, origin, pid));
+                    tag = Some((origin, pid));
+                }
                 _ => {}
             }
         }
-        let key_fields = program.catalog.key_fields(tuple.rel(), tuple.arity());
-        let identity: Vec<Value> =
-            key_fields.iter().filter_map(|&i| tuple.field(i).cloned()).collect();
-        ((tuple.rel(), group), identity)
-    }
 
-    fn prune_pass(
-        instance: &mut Instance,
-        sel: &AggSelection,
-        program: &LocalizedProgram,
-        tuple: &Tuple,
-        my_id: NodeId,
-    ) -> PruneDecision {
-        let Some(value) = tuple.field(sel.value_field).cloned() else {
-            return PruneDecision::Admit;
-        };
-        let (key, identity) = Self::prune_key_and_identity(sel, program, tuple);
-
-        if value.is_infinite_cost() {
-            // Tombstone sighted (whatever its fate below): the invalidation
-            // wave is still active here — hold queued revivals back.
-            instance.poison_seen = true;
-            // Tombstone of the group's shipped/stored best: record the ∞ so
-            // any finite alternative (other next hop) can take the slot,
-            // and let the invalidation propagate.
-            let invalidates_best = matches!(
-                instance.prune.get(&key),
-                Some((best_id, best_val)) if *best_id == identity && !best_val.is_infinite_cost()
-            );
-            if invalidates_best {
-                // Finite → ∞ transition of the group's recorded best: the
-                // entry becomes evictable once the wave has run.
-                instance.prune_tombstones += 1;
-                // The group's surviving alternatives (other downstream
-                // continuations through this node) are stored state, not
-                // deltas — schedule a revival so the next batch re-derives
-                // and re-ships the group's new best from them.
-                let loc = program.catalog.location_field(tuple.rel());
-                let bindings: Vec<(usize, Value)> = sel
-                    .group_fields
-                    .iter()
-                    .filter(|&&g| g != loc)
-                    .filter_map(|&g| tuple.field(g).cloned().map(|v| (g, v)))
-                    .collect();
-                instance.revive.insert((tuple.rel(), sel.value_field, bindings));
-                instance.prune.insert(key, (identity, value));
-                return PruneDecision::Admit;
-            }
-            // Tombstone addressed to a remote home: this node only derives
-            // and forwards it — whether it invalidates anything is a fact
-            // about the *home's* store, which is invisible here. Collapsing
-            // on the local group best loses real invalidations whenever two
-            // equal-cost routes share a prune group at the deriving node
-            // (the local best covers one of them; the other's home keeps a
-            // route that is now dead). Ship it and let the home run the
-            // real check — a tombstone nothing at the home matches
-            // collapses there, so each one travels at most one hop.
-            let loc = program.catalog.location_field(tuple.rel());
-            if tuple.node_at(loc) != Some(my_id) {
-                return PruneDecision::Admit;
-            }
-            // Tombstone of a dominated-but-stored tuple (an older route this
-            // node still holds): admit so the keyed upsert poisons the stale
-            // entry, but without touching the group best.
-            let key_fields = program.catalog.key_fields(tuple.rel(), tuple.arity());
-            let poisons_stored = instance
-                .db
-                .get_by_key(&tuple.key(&key_fields))
-                .map(|stored| stored != tuple)
-                .unwrap_or(false);
-            if poisons_stored {
-                return PruneDecision::Admit;
-            }
-            return PruneDecision::TombstoneCollapsed;
+        let home = tuple.node_at(program.catalog.location_field(relation));
+        if let Some(h) = home.filter(|&h| h != my_id && !program.is_replicated(relation)) {
+            outbound.tuples.entry(h).or_default().push((tuple, tag));
+            return;
         }
+        let outcome = instance.db.insert(tuple.clone());
+        // A keyed upsert displaced an older tuple: its provenance dies with
+        // it.
+        if let (Some(old), Some(store)) = (outcome.replaced.as_ref(), instance.prov.as_mut()) {
+            store.forget(old);
+        }
+        if !outcome.added {
+            return;
+        }
+        self.stats.tuples_derived += 1;
+        if let (Some(r), Some(store)) = (wire_ref, instance.prov.as_mut()) {
+            store.alias(tuple.clone(), r);
+        }
+        instance.pending.entry(relation).or_default().push(tuple.clone());
 
-        let better_or_equal = |a: &Value, b: &Value| -> bool {
-            use std::cmp::Ordering::*;
-            match sel.func {
-                dr_datalog::ast::AggFunc::Min => a.compare_numeric(b) != Greater,
-                dr_datalog::ast::AggFunc::Max => a.compare_numeric(b) != Less,
-                _ => true,
+        // Ship copies required by remote joins (the Figure 2 clouds).
+        for ship in program.ships_for(relation) {
+            let Some(dest) = tuple.node_at(ship.target_field) else { continue };
+            let cache_tuple = Tuple::from_rel(ship.cache_relation, tuple.fields().to_vec());
+            if dest != my_id {
+                outbound.tuples.entry(dest).or_default().push((cache_tuple, tag));
+                continue;
             }
-        };
-
-        match instance.prune.get(&key) {
-            None => {
-                instance.prune.insert(key, (identity, value));
-                PruneDecision::Admit
+            let copy_outcome = instance.db.insert(cache_tuple.clone());
+            if let (Some(old), Some(store)) =
+                (copy_outcome.replaced.as_ref(), instance.prov.as_mut())
+            {
+                store.forget(old);
             }
-            Some((best_id, best_val)) => {
-                let admit = *best_id == identity // update (possibly worse) of the current best
-                    || better_or_equal(&value, best_val);
-                if admit {
-                    // `value` is finite here (the ∞ path returned above): a
-                    // revived group stops being a tombstone.
-                    if best_val.is_infinite_cost() {
-                        instance.prune_tombstones = instance.prune_tombstones.saturating_sub(1);
-                    }
-                    instance.prune.insert(key, (identity, value));
-                    PruneDecision::Admit
-                } else {
-                    PruneDecision::Dominated
+            if copy_outcome.added {
+                // The copy proves nothing new: it aliases the source tuple's
+                // own provenance.
+                if let (Some(store), Some((n, p))) = (instance.prov.as_mut(), tag) {
+                    store.alias(cache_tuple.clone(), prov_ref(my_id, n, p));
                 }
+                instance.pending.entry(ship.cache_relation).or_default().push(cache_tuple);
             }
         }
-    }
 
-    /// Build a `<cache>(@N, D, P, C)` entry from a 4-ary result tuple.
-    fn cache_entry_from_result(cache: RelId, tuple: &Tuple) -> Option<Tuple> {
-        if tuple.arity() != 4 {
-            return None;
+        // Multi-query sharing: completed best paths go into the shared
+        // cache and, from their source, along the reverse path.
+        if instance.spec.share_results && program.result_relations.contains(&relation) {
+            if let Some((s, dest, path, cost)) = best_path_fields(&tuple) {
+                let cache = instance.cache_rel;
+                if dataflow && s == my_id && cost.is_finite() {
+                    let hop = cache_install_hop(&self.neighbors, cache, dest, path.nodes(), cost);
+                    outbound.cache_installs.extend(hop);
+                }
+                self.shared.insert(Tuple::from_rel(cache, tuple.fields().to_vec()));
+            }
         }
-        let s = tuple.node_at(0)?;
-        let d = tuple.node_at(1)?;
-        let p = tuple.field(2)?.as_path()?.clone();
-        let c = tuple.field(3)?.as_cost()?;
-        Some(Tuple::from_rel(
-            cache,
-            vec![Value::Node(s), Value::Node(d), Value::Path(p), Value::Cost(c)],
-        ))
     }
 
     /// Split a tagged batch into the wire's parallel item/tag vectors. The
@@ -1242,21 +945,12 @@ impl QueryProcessor {
     }
 
     fn flush_outbound(&mut self, ctx: &mut Context<'_, NetMsg>, qid: QueryId, outbound: Outbound) {
-        for (dest, tagged) in outbound {
+        for (dest, tagged) in outbound.tuples {
             if tagged.is_empty() {
                 continue;
             }
-            if dest == self.node {
-                // Tuples that resolved back to ourselves (e.g. relayed home
-                // deliveries): fold them straight in.
-                let mut again = BTreeMap::new();
-                for (tuple, tag) in tagged {
-                    let action = tag.map(|(n, p)| ProvAction::Wire(n, p));
-                    self.route_tuple(qid, tuple, action, &mut again);
-                }
-                self.flush_outbound(ctx, qid, again);
-                continue;
-            }
+            // `route_tuple` only queues tuples for other nodes.
+            debug_assert_ne!(dest, self.node);
             self.stats.tuples_sent += tagged.len() as u64;
             // Nodes only exchange messages with direct neighbors. Cache
             // shipping (the Figure 2 clouds) always targets a neighbor by
@@ -1270,8 +964,7 @@ impl QueryProcessor {
             let next_hop = if self.neighbors.contains_key(&dest) {
                 Some(dest)
             } else {
-                let items: Vec<Tuple> = tagged.iter().map(|(t, _)| t.clone()).collect();
-                Self::relay_hop(self.node, dest, &items, &self.neighbors)
+                Self::relay_hop(self.node, dest, tagged.iter().map(|(t, _)| t), &self.neighbors)
             };
             match next_hop {
                 Some(hop) => self.send_tuples(ctx, hop, qid, tagged),
@@ -1279,11 +972,12 @@ impl QueryProcessor {
                 // sequenced — retransmitting into a black hole buys nothing.
                 None => {
                     let (items, provs) = Self::split_tagged(tagged);
-                    let msg = NetMsg::Tuples { qid, seq: None, items, provs };
-                    let size = msg.wire_size();
-                    ctx.send(dest, msg, size);
+                    send(ctx, dest, NetMsg::Tuples { qid, seq: None, items, provs });
                 }
             }
+        }
+        for (next, msg) in outbound.cache_installs {
+            send(ctx, next, msg);
         }
     }
 
@@ -1298,8 +992,7 @@ impl QueryProcessor {
     ) {
         let (items, provs) = Self::split_tagged(tagged);
         let msg = self.transport.frame(ctx.now(), hop, qid, items, provs);
-        let size = msg.wire_size();
-        ctx.send(hop, msg, size);
+        send(ctx, hop, msg);
         if self.retx_timer.is_none() {
             self.retx_timer = self.transport.scan_delay().map(|delay| ctx.set_timer(delay));
         }
@@ -1311,8 +1004,7 @@ impl QueryProcessor {
         let scan = self.transport.retransmit_scan(ctx.now());
         self.stats.retransmits += scan.resend.len() as u64;
         for (hop, msg) in scan.resend {
-            let size = msg.wire_size();
-            ctx.send(hop, msg, size);
+            send(ctx, hop, msg);
         }
         if let Some(delay) = scan.next_scan {
             self.retx_timer = Some(ctx.set_timer(delay));
@@ -1321,10 +1013,10 @@ impl QueryProcessor {
 
     /// Find a neighbor one step closer to `dest` along the path vector of
     /// any of the tuples being shipped.
-    fn relay_hop(
+    fn relay_hop<'a>(
         me: NodeId,
         dest: NodeId,
-        items: &[Tuple],
+        items: impl IntoIterator<Item = &'a Tuple>,
         neighbors: &BTreeMap<NodeId, Cost>,
     ) -> Option<NodeId> {
         for tuple in items {
@@ -1348,117 +1040,22 @@ impl QueryProcessor {
         None
     }
 
-    /// Re-arm the joins of prune groups whose recorded best was poisoned
-    /// to ∞ since the last round: re-inject, as deltas, this node's stored
-    /// finite tuples matching each dead group's non-location columns.
-    ///
-    /// Without this, recovery is incomplete whenever every retained
-    /// alternative at the route's home also dies: the home's per-next-hop
-    /// fallbacks cover the failure only if their own downstream segments
-    /// survived. The anchor node still stores finite paths for the group's
-    /// destination, but they are old state — no delta ever re-fires the
-    /// `link ⋈ path` join that would ship the group's new best (the
-    /// nodes=10/seed=291 Dense-UUNET hub failure is a concrete case:
-    /// without revival two pairs settle on detours ~25% worse than the
-    /// surviving optimum).
-    ///
-    /// Only tuples that are the *current recorded best of their own prune
-    /// group* are re-injected — at most one per surviving next hop. The
-    /// store also holds every historically-admitted route (dominated
-    /// alternatives are kept for exactly this kind of fallback), and during
-    /// an invalidation wave most groups are ∞, so re-injecting the full
-    /// per-destination history would re-explore the path space the
-    /// tombstone-collapse design exists to avoid (the 16-node hub-failure
-    /// budget test blows up ~200×). The group bests are sufficient: any
-    /// repaired route the dead group can still ship extends some current
-    /// best at this node. Re-injection is idempotent — re-derived tuples
-    /// that are already stored are not re-shipped — and self-limiting:
-    /// revived finite tuples never create new tombstone transitions.
-    fn process_revivals(instance: &mut Instance, neighbors: &BTreeMap<NodeId, Cost>) {
-        if instance.revive.is_empty() {
-            return;
-        }
-        let program = Arc::clone(&instance.spec.program);
-        let requests: Vec<ReviveRequest> = instance.revive.drain().collect();
-        for (rel, value_field, bindings) in requests {
-            let Some(sel) = program.agg_selections.iter().find(|s| s.input_relation == rel) else {
-                continue;
-            };
-            let revived: Vec<Tuple> = instance
-                .db
-                .scan(rel)
-                .filter(|t| {
-                    t.field(value_field).map(|v| !v.is_infinite_cost()).unwrap_or(true)
-                        && bindings.iter().all(|(i, v)| t.field(*i) == Some(v))
-                })
-                // A candidate whose next hop is a dead (or vanished)
-                // neighbor is guaranteed dead on arrival: re-flooding it
-                // just feeds the next invalidation wave, whose tombstones
-                // queue further revivals of this destination's sibling
-                // groups — a self-sustaining oscillation that melts the
-                // 36-node dense-overlay churn figure. The link state needed
-                // to rule those out is local and exact, so check it here;
-                // when the neighbor later revives, `apply_link_update`'s
-                // copy re-injection re-fires these joins anyway.
-                .filter(|t| {
-                    t.fields().iter().all(|f| match f {
-                        Value::Path(p) if p.len() >= 2 => {
-                            neighbors.get(&p.nodes()[1]).map(|c| c.is_finite()).unwrap_or(false)
-                        }
-                        _ => true,
-                    })
-                })
-                .filter(|t| {
-                    let (key, identity) = Self::prune_key_and_identity(sel, &program, t);
-                    matches!(
-                        instance.prune.get(&key),
-                        Some((best_id, best_val))
-                            if *best_id == identity && !best_val.is_infinite_cost()
-                    )
-                })
-                .cloned()
-                .collect();
-            if !revived.is_empty() {
-                instance.pending.entry(rel).or_default().extend(revived);
-            }
-        }
-    }
-
     fn process_batches(&mut self, ctx: &mut Context<'_, NetMsg>) {
         self.stats.batches += 1;
         let qids: Vec<QueryId> = self.instances.keys().copied().collect();
         for qid in qids {
-            let mut outbound: Outbound = BTreeMap::new();
-            let mut cache_installs: Vec<(NodeId, NetMsg)> = Vec::new();
-            // Local fixpoint: keep draining deltas until nothing new is
-            // produced locally.
-            // Revival is deferred to an *idle* batch: one that starts with no
-            // pending deltas, meaning nothing arrived since the previous
-            // batch and the invalidation wave has passed this node. Reviving
-            // mid-wave would re-flood routes the in-flight poisons are about
-            // to kill — and since most prune groups are ∞ during the wave,
-            // every revived derivation would be admitted, stored, extended
-            // and shipped, re-exploring the path space the tombstone
-            // collapse exists to avoid. (`on_timer` keeps the batch timer
-            // armed while revivals are queued, so an idle batch arrives.)
-            //
-            // Idleness alone is necessary but not sufficient: it only proves
-            // the wave has passed *this node*, and on dense overlays waves
-            // between farther nodes outlive any one node's idle gap. A round
-            // additionally requires [`REVIVE_QUIET_BATCHES`] consecutive
-            // tombstone-free idle batches — see the constant's doc for how
-            // this also spaces repeat rounds.
+            let mut outbound = Outbound::default();
+            // Revivals the gate finds due start this round as deltas
+            // (`on_timer` keeps the batch timer armed while any are queued).
             if let Some(instance) = self.instances.get_mut(&qid) {
-                if instance.has_pending() || instance.poison_seen {
-                    instance.poison_seen = false;
-                    instance.revive_quiet = 0;
-                } else {
-                    instance.revive_quiet = instance.revive_quiet.saturating_add(1);
-                    if instance.revive_quiet >= REVIVE_QUIET_BATCHES {
-                        Self::process_revivals(instance, &self.neighbors);
-                    }
+                let idle = !instance.has_pending();
+                for (rel, revived) in instance.gate.start_batch(idle, &instance.db, &self.neighbors)
+                {
+                    instance.pending.entry(rel).or_default().extend(revived);
                 }
             }
+            // Local fixpoint: keep draining deltas until nothing new is
+            // produced locally.
             while let Some(instance) = self.instances.get_mut(&qid) {
                 if !instance.has_pending() {
                     break;
@@ -1486,14 +1083,19 @@ impl QueryProcessor {
                 {
                     let source = Overlay { local: &instance.db, shared: &self.shared };
                     let mut log = FiringLog::new();
-                    let absorb =
-                        |log: &mut FiringLog,
-                         ri: usize,
-                         firings: &mut HashMap<Tuple, (u32, Vec<Tuple>)>| {
-                            for firing in log.firings.drain(..) {
-                                firings.insert(firing.head, (ri as u32, firing.body));
-                            }
+                    // Evaluate rule `ri`, logging its firings when recording.
+                    let mut run = |ri: usize, plan: &RuleEval, delta: Option<(usize, &[Tuple])>| {
+                        let out = if recording {
+                            plan.evaluate_traced(&self.builtins, &source, delta, &mut log)
+                        } else {
+                            plan.evaluate(&self.builtins, &source, delta)
                         };
+                        let out = out.ok()?;
+                        for firing in log.firings.drain(..) {
+                            firings.insert(firing.head, (ri as u32, firing.body));
+                        }
+                        Some(out)
+                    };
                     for (ri, plan) in instance.compiled.iter().enumerate() {
                         let rule = plan.rule();
                         if rule.head.has_aggregate() {
@@ -1510,15 +1112,7 @@ impl QueryProcessor {
                             if !touched {
                                 continue;
                             }
-                            let raw = if recording {
-                                plan.evaluate_traced(&self.builtins, &source, None, &mut log)
-                            } else {
-                                plan.evaluate(&self.builtins, &source, None)
-                            };
-                            if let Ok(raw) = raw {
-                                if recording {
-                                    absorb(&mut log, ri, &mut firings);
-                                }
+                            if let Some(raw) = run(ri, plan, None) {
                                 if let Ok(grouped) =
                                     apply_aggregate(&rule.head, plan.head_rel(), &raw)
                                 {
@@ -1533,20 +1127,7 @@ impl QueryProcessor {
                             if delta.is_empty() {
                                 continue;
                             }
-                            let tuples = if recording {
-                                plan.evaluate_traced(
-                                    &self.builtins,
-                                    &source,
-                                    Some((i, delta)),
-                                    &mut log,
-                                )
-                            } else {
-                                plan.evaluate(&self.builtins, &source, Some((i, delta)))
-                            };
-                            if let Ok(tuples) = tuples {
-                                if recording {
-                                    absorb(&mut log, ri, &mut firings);
-                                }
+                            if let Some(tuples) = run(ri, plan, Some((i, delta))) {
                                 derived.extend(tuples);
                             }
                         }
@@ -1563,71 +1144,21 @@ impl QueryProcessor {
                     }
                 }
                 for tuple in derived {
-                    let action = firings
-                        .get(&tuple)
-                        .map(|(rule, body)| ProvAction::Fired(*rule, body.clone()));
-                    let stored = self.route_tuple(qid, tuple.clone(), action, &mut outbound);
-                    // Reverse-path cache installation for shared queries.
-                    if stored {
-                        if let Some((next, msg)) = self.reverse_path_install(qid, &tuple) {
-                            cache_installs.push((next, msg));
-                        }
-                    }
+                    let fired = firings.get(&tuple).cloned();
+                    self.route_tuple(qid, tuple, Origin::Fired(fired), &mut outbound);
                 }
             }
-            // The batch quiesced: retire prune-map state whose backing
-            // tuples are gone, so churn cannot grow the map monotonically.
+            // The batch quiesced: retire the prune state of dead groups, so
+            // churn cannot grow the map monotonically.
             if let Some(instance) = self.instances.get_mut(&qid) {
-                self.stats.prune_evicted += instance.evict_stale_prune_groups();
+                self.stats.prune_evicted += instance.gate.evict();
             }
             self.flush_outbound(ctx, qid, outbound);
-            for (next, msg) in cache_installs {
-                let size = msg.wire_size();
-                ctx.send(next, msg, size);
-            }
         }
     }
 
-    /// The first hop of a reverse-path cache installation for a freshly
-    /// stored tuple, when `qid` shares results and the tuple is one of its
-    /// results (§7.3).
-    fn reverse_path_install(&self, qid: QueryId, tuple: &Tuple) -> Option<(NodeId, NetMsg)> {
-        let instance = self.instances.get(&qid)?;
-        if !instance.spec.share_results
-            || !instance.spec.program.result_relations.contains(&tuple.rel())
-        {
-            return None;
-        }
-        self.cache_install_message(instance.cache_rel, tuple)
-    }
-
-    /// Build the first hop of a reverse-path cache installation for a
-    /// freshly stored best-path result.
-    fn cache_install_message(&self, cache: RelId, tuple: &Tuple) -> Option<(NodeId, NetMsg)> {
-        if tuple.arity() != 4 || tuple.node_at(0) != Some(self.node) {
-            return None;
-        }
-        let dest = tuple.node_at(1)?;
-        let path = tuple.field(2)?.as_path()?;
-        let cost = tuple.field(3)?.as_cost()?;
-        if path.len() < 3 || cost.is_infinite() {
-            // One-hop paths have no intermediate nodes to cache at.
-            return None;
-        }
-        let next = path.nodes()[1];
-        let link_cost = self.neighbors.get(&next).copied().unwrap_or(Cost::ZERO);
-        let remaining = Cost::new((cost.value() - link_cost.value()).max(0.0));
-        Some((
-            next,
-            NetMsg::CacheInstall {
-                cache,
-                dest,
-                suffix: path.nodes()[1..].to_vec(),
-                cost: remaining,
-            },
-        ))
-    }
-
+    /// Store a reverse-path cache installation addressed to this node and
+    /// forward it one hop further along its suffix.
     fn handle_cache_install(
         &mut self,
         ctx: &mut Context<'_, NetMsg>,
@@ -1639,20 +1170,14 @@ impl QueryProcessor {
         if suffix.first() != Some(&self.node) || suffix.len() < 2 {
             return;
         }
-        let path = dr_types::PathVector::from_nodes(suffix.clone());
+        if let Some((next, msg)) = cache_install_hop(&self.neighbors, cache, dest, &suffix, cost) {
+            send(ctx, next, msg);
+        }
+        let path = Value::Path(PathVector::from_nodes(suffix));
         self.shared.insert(Tuple::from_rel(
             cache,
-            vec![Value::Node(self.node), Value::Node(dest), Value::Path(path), Value::Cost(cost)],
+            vec![Value::Node(self.node), Value::Node(dest), path, Value::Cost(cost)],
         ));
-        if suffix.len() > 2 {
-            let next = suffix[1];
-            let link_cost = self.neighbors.get(&next).copied().unwrap_or(Cost::ZERO);
-            let remaining = Cost::new((cost.value() - link_cost.value()).max(0.0));
-            let msg =
-                NetMsg::CacheInstall { cache, dest, suffix: suffix[1..].to_vec(), cost: remaining };
-            let size = msg.wire_size();
-            ctx.send(next, msg, size);
-        }
     }
 
     /// True when a received tuple's relation tag is one this query's symbol
@@ -1680,8 +1205,8 @@ impl QueryProcessor {
         let qids: Vec<QueryId> = self.instances.keys().copied().collect();
         for qid in qids {
             let link = self.link_tuple(neighbor, cost);
-            let mut outbound = BTreeMap::new();
-            self.route_tuple(qid, link, None, &mut outbound);
+            let mut outbound = Outbound::default();
+            self.route_tuple(qid, link, Origin::Base, &mut outbound);
             if revived {
                 self.reinject_neighbor_copies(qid, neighbor);
             }
@@ -1730,68 +1255,6 @@ impl QueryProcessor {
         }
     }
 
-    /// Reorder one delivered batch so the aggregate-selection admission
-    /// gate sees, per selected relation, ∞ tombstones first and finite
-    /// tuples best-value first.
-    ///
-    /// Network reordering (loss, retransmission, duplication) otherwise
-    /// defeats the prune: finite routes arriving worst-first are each
-    /// better than the last, so every one of them is admitted, stored,
-    /// shipped, and re-joined downstream — the lossy churn benchmark
-    /// derives ~90× more tuples than its lossless twin mostly from this.
-    /// Sorting is per relation and stable; tuples of non-selected relations
-    /// (and the relative order of different relations) are untouched, so a
-    /// batch with no aggregate selections is processed exactly as it
-    /// arrived. Any processing order is semantically valid — delivery order
-    /// was never guaranteed — this one just minimizes admissions.
-    fn sort_batch_for_admission(&self, qid: QueryId, batch: &mut [(Tuple, ProvTag)]) {
-        let Some(instance) = self.instances.get(&qid) else { return };
-        if !instance.spec.aggregate_selections {
-            return;
-        }
-        let program = &instance.spec.program;
-        for sel in &program.agg_selections {
-            let idx: Vec<usize> = batch
-                .iter()
-                .enumerate()
-                .filter(|(_, (t, _))| t.rel() == sel.input_relation)
-                .map(|(i, _)| i)
-                .collect();
-            if idx.len() < 2 {
-                continue;
-            }
-            let mut members: Vec<(Tuple, ProvTag)> =
-                idx.iter().map(|&i| batch[i].clone()).collect();
-            let rank = |t: &Tuple| -> (u8, Option<Value>) {
-                match t.field(sel.value_field) {
-                    // Tombstones first: they only invalidate, and admitting
-                    // them before the finite alternatives avoids comparing
-                    // fresh routes against a best that is about to die.
-                    Some(v) if v.is_infinite_cost() => (0, None),
-                    Some(v) => (1, Some(v.clone())),
-                    None => (1, None),
-                }
-            };
-            members.sort_by(|(a, _), (b, _)| {
-                let (ra, va) = rank(a);
-                let (rb, vb) = rank(b);
-                ra.cmp(&rb).then_with(|| match (va, vb) {
-                    (Some(x), Some(y)) => {
-                        let ord = x.compare_numeric(&y);
-                        match sel.func {
-                            dr_datalog::ast::AggFunc::Max => ord.reverse(),
-                            _ => ord,
-                        }
-                    }
-                    _ => std::cmp::Ordering::Equal,
-                })
-            });
-            for (&i, m) in idx.iter().zip(members) {
-                batch[i] = m;
-            }
-        }
-    }
-
     /// Apply one arrived batch of tuples for `qid` (already past teardown
     /// and duplicate checks): piggy-backed installation, catalog decode,
     /// cost-ordering for the admission gate, routing, reverse-path cache
@@ -1806,28 +1269,25 @@ impl QueryProcessor {
     ) {
         // Piggy-backed installation: tuples for an unknown query install it
         // on the fly (§3.5).
-        if !self.instances.get(&qid).map(|i| i.installed).unwrap_or(false) {
+        if !self.instances.contains_key(&qid) {
             self.install(ctx, qid);
             // Still not installed: the spec never reached this node's
             // library (it was partitioned away during the Install flood).
             // Ask the sender to re-offer the query — the receive-side
             // counterpart of the lazy teardown repair. Self-limiting: one
             // request per batch that finds the query unknown.
-            if !self.instances.get(&qid).map(|i| i.installed).unwrap_or(false)
-                && !self.torn_down.contains(&qid)
-            {
-                let req = NetMsg::QueryRequest { qid };
-                let size = req.wire_size();
-                ctx.send(from, req, size);
+            if !self.instances.contains_key(&qid) && !self.torn_down.contains(&qid) {
+                send(ctx, from, NetMsg::QueryRequest { qid });
             }
         }
         self.stats.tuples_received += items.len() as u64;
         let tags: Vec<ProvTag> =
             if provs.len() == items.len() { provs } else { vec![None; items.len()] };
         let mut batch: Vec<(Tuple, ProvTag)> = items.into_iter().zip(tags).collect();
-        self.sort_batch_for_admission(qid, &mut batch);
-        let mut outbound = BTreeMap::new();
-        let mut cache_installs = Vec::new();
+        if let Some(instance) = self.instances.get(&qid) {
+            instance.gate.order_batch(&mut batch);
+        }
+        let mut outbound = Outbound::default();
         for (tuple, tag) in batch {
             // Decode the shipped relation tag against the query's symbol
             // catalog: a tuple whose id the catalog does not bind (a stale
@@ -1837,22 +1297,9 @@ impl QueryProcessor {
                 self.stats.tuples_rejected += 1;
                 continue;
             }
-            let action = tag.map(|(n, p)| ProvAction::Wire(n, p));
-            let stored = self.route_tuple(qid, tuple.clone(), action, &mut outbound);
-            // Results of shared queries usually arrive here (shipped home
-            // from the node that derived them); kick off the reverse-path
-            // cache installation of §7.3.
-            if stored {
-                if let Some(install) = self.reverse_path_install(qid, &tuple) {
-                    cache_installs.push(install);
-                }
-            }
+            self.route_tuple(qid, tuple, Origin::Wire(tag), &mut outbound);
         }
         self.flush_outbound(ctx, qid, outbound);
-        for (next, msg) in cache_installs {
-            let size = msg.wire_size();
-            ctx.send(next, msg, size);
-        }
         self.schedule_batch(ctx);
     }
 
@@ -1861,16 +1308,10 @@ impl QueryProcessor {
     /// library first — the request models the spec traveling with the
     /// reply), or propagate the teardown if the query is dead.
     fn handle_query_request(&mut self, ctx: &mut Context<'_, NetMsg>, from: NodeId, qid: QueryId) {
-        if self.torn_down.contains(&qid) {
-            let reply = NetMsg::Teardown { qid };
-            let size = reply.wire_size();
-            ctx.send(from, reply, size);
+        if self.refuse_torn_down(ctx, from, qid) {
             return;
         }
         let Some(instance) = self.instances.get(&qid) else { return };
-        if !instance.installed {
-            return;
-        }
         // Re-register the spec with the shared library from our own
         // instance before replying, so the peer's `install` finds it even if
         // the library entry is gone (in a real deployment the spec would
@@ -1900,9 +1341,52 @@ impl QueryProcessor {
             .and_then(|store| store.get(id))
             .cloned();
         let reply = NetMsg::ProvReply { qid, node: self.node, id, record: record.map(Box::new) };
-        let size = reply.wire_size();
-        ctx.send(requester, reply, size);
+        send(ctx, requester, reply);
     }
+}
+
+/// Send `msg` to `to`, charged its [`NetMsg::wire_size`].
+fn send(ctx: &mut Context<'_, NetMsg>, to: NodeId, msg: NetMsg) {
+    let size = msg.wire_size();
+    ctx.send(to, msg, size);
+}
+
+/// A pointer, as seen from node `me`, to record `pid` of `owner`'s arena.
+fn prov_ref(me: NodeId, owner: NodeId, pid: ProvId) -> ProvRef {
+    if owner == me {
+        ProvRef::Local(pid)
+    } else {
+        ProvRef::Remote(owner, pid)
+    }
+}
+
+/// The `(S, D, P, C)` fields of a 4-ary best-path tuple.
+fn best_path_fields(tuple: &Tuple) -> Option<(NodeId, NodeId, &PathVector, Cost)> {
+    if tuple.arity() != 4 {
+        return None;
+    }
+    let path = tuple.field(2)?.as_path()?;
+    Some((tuple.node_at(0)?, tuple.node_at(1)?, path, tuple.field(3)?.as_cost()?))
+}
+
+/// The next hop of a reverse-path cache installation (§7.3) at the node
+/// heading `path`, a best path to `dest` of cost `cost`: the message for
+/// `path[1]`, carrying the rest of the path and its cost. `None` when no
+/// node before `dest` is left to cache at.
+fn cache_install_hop(
+    neighbors: &BTreeMap<NodeId, Cost>,
+    cache: RelId,
+    dest: NodeId,
+    path: &[NodeId],
+    cost: Cost,
+) -> Option<(NodeId, NetMsg)> {
+    if path.len() < 3 {
+        return None;
+    }
+    let next = path[1];
+    let link_cost = neighbors.get(&next).copied().unwrap_or(Cost::ZERO);
+    let remaining = Cost::new((cost.value() - link_cost.value()).max(0.0));
+    Some((next, NetMsg::CacheInstall { cache, dest, suffix: path[1..].to_vec(), cost: remaining }))
 }
 
 impl NodeApp for QueryProcessor {
@@ -1940,23 +1424,12 @@ impl NodeApp for QueryProcessor {
     fn on_message(&mut self, ctx: &mut Context<'_, NetMsg>, from: NodeId, msg: NetMsg) {
         match msg {
             NetMsg::Install { qid } => {
-                // Lazy teardown repair: a peer that missed the teardown
-                // flood (it was down at the time) and still advertises the
-                // dead query learns of the teardown the moment it talks to
-                // anyone who saw it.
-                if self.torn_down.contains(&qid) {
-                    let reply = NetMsg::Teardown { qid };
-                    let size = reply.wire_size();
-                    ctx.send(from, reply, size);
-                    return;
+                if !self.refuse_torn_down(ctx, from, qid) {
+                    self.install(ctx, qid);
                 }
-                self.install(ctx, qid);
             }
             NetMsg::Tuples { qid, seq, items, provs } => {
-                if self.torn_down.contains(&qid) {
-                    let reply = NetMsg::Teardown { qid };
-                    let size = reply.wire_size();
-                    ctx.send(from, reply, size);
+                if self.refuse_torn_down(ctx, from, qid) {
                     return;
                 }
                 let received = self.transport.receive(from, qid, seq, items, provs);
@@ -1966,8 +1439,7 @@ impl NodeApp for QueryProcessor {
                     self.deliver_tuples(ctx, from, qid, items, provs);
                 }
                 if let Some(ack) = received.ack {
-                    let size = ack.wire_size();
-                    ctx.send(from, ack, size);
+                    send(ctx, from, ack);
                     self.stats.acks_sent += 1;
                 }
             }
@@ -2002,7 +1474,7 @@ impl NodeApp for QueryProcessor {
             // to ourselves), schedule another round. Queued revivals also
             // keep the timer armed: they only run in a batch that starts
             // idle, so they need a next batch to run in.
-            if self.instances.values().any(|i| i.has_pending() || !i.revive.is_empty()) {
+            if self.instances.values().any(|i| i.has_pending() || i.gate.revivals_queued()) {
                 self.schedule_batch(ctx);
             }
         } else if Some(timer) == self.retx_timer {

@@ -6,11 +6,13 @@
 use declarative_routing::baselines::{PathVectorConfig, PathVectorNode};
 use declarative_routing::datalog::{check_safety, Database, Evaluator};
 use declarative_routing::engine::harness::RoutingHarness;
-use declarative_routing::netsim::{SimConfig, SimDuration, SimTime, Simulator};
+use declarative_routing::netsim::{
+    LinkParams, SimConfig, SimDuration, SimTime, Simulator, Topology,
+};
 use declarative_routing::protocols::{
     best_path, best_path_pairs, best_path_pairs_share, distance_vector, dynamic_source_routing,
 };
-use declarative_routing::types::{Cost, FromTuple, NodeId, RouteEntry, Tuple, Value};
+use declarative_routing::types::{Cost, FromTuple, NodeId, PathVector, RouteEntry, Tuple, Value};
 use declarative_routing::workloads::{OverlayKind, OverlayParams, PairWorkload, TransitStubParams};
 
 fn n(i: u32) -> NodeId {
@@ -183,6 +185,53 @@ fn sharing_reduces_overhead_for_common_destinations() {
         "sharing should not blow up traffic: {bytes_share} vs {bytes_noshare} bytes \
          ({kb_share:.2} vs {kb_noshare:.2} KB/node)"
     );
+}
+
+/// Reverse-path cache installation (§7.3) puts exactly one entry at every
+/// node of the shared best path before the destination, holding the rest of
+/// the path and its remaining cost, and nothing anywhere else.
+#[test]
+fn shared_best_path_is_cached_exactly_along_its_reverse_path() {
+    // 0 - 1 - 2 - 3 - 4 - 5, unit costs; the query asks for 1 -> 4.
+    let nodes = 6;
+    let mut topo = Topology::new(nodes);
+    for i in 0..nodes as u32 - 1 {
+        topo.add_bidirectional(
+            n(i),
+            n(i + 1),
+            LinkParams::with_latency_ms(10.0).with_cost(Cost::new(1.0)),
+        );
+    }
+    let (src, dest) = (n(1), n(4));
+    let mut harness = RoutingHarness::new(topo);
+    harness
+        .issue(best_path_pairs_share(src, dest, "bestPathCache"))
+        .sharing(true)
+        .replicated(["magicDsts"])
+        .from(src)
+        .at(SimTime::ZERO)
+        .submit()
+        .unwrap();
+    harness.run_until(SimTime::from_secs(30));
+
+    for i in 0..nodes as u32 {
+        let expected: Vec<Tuple> = if (1..4).contains(&i) {
+            let suffix: Vec<NodeId> = (i..=4).map(n).collect();
+            let remaining = Cost::new(f64::from(4 - i));
+            vec![Tuple::new(
+                "bestPathCache",
+                vec![
+                    Value::Node(n(i)),
+                    Value::Node(dest),
+                    Value::Path(PathVector::from_nodes(suffix)),
+                    Value::Cost(remaining),
+                ],
+            )]
+        } else {
+            Vec::new()
+        };
+        assert_eq!(harness.sim().app(n(i)).best_path_cache(), expected, "cache at node {i}");
+    }
 }
 
 /// Every protocol shipped in `dr-protocols` passes the paper's static safety

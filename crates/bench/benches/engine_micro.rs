@@ -5,8 +5,8 @@
 //! exercising the ∞-tombstone pruning and the indexed storage layer).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dr_core::harness::RoutingHarness;
 use dr_core::processor::ReliabilityConfig;
+use dr_core::{QueryDef, RoutingHarness};
 use dr_datalog::eval::EvalConfig;
 use dr_datalog::{parse_program, Database, Evaluator};
 use dr_netsim::{FaultPlan, LinkFaults, SimTime};
@@ -119,7 +119,7 @@ fn bench_churn_recovery(c: &mut Criterion) {
     group.bench_function("dense_uunet16_hub_fail", |b| {
         b.iter(|| {
             let mut harness = RoutingHarness::new(topo.clone());
-            let handle = harness.issue(best_path()).submit().expect("query localizes");
+            let handle = harness.issue(QueryDef::new(best_path())).expect("query localizes");
             harness.run_until(SimTime::from_secs(120));
             harness.sim_mut().schedule_node_fail(SimTime::from_secs(120), hub);
             harness.run_until(SimTime::from_secs(240));
@@ -136,7 +136,7 @@ fn bench_churn_recovery(c: &mut Criterion) {
             harness.set_fault_plan(
                 FaultPlan::new(9).uniform(LinkFaults::none().with_drop(0.05).with_duplicate(0.10)),
             );
-            let handle = harness.issue(best_path()).submit().expect("query localizes");
+            let handle = harness.issue(QueryDef::new(best_path())).expect("query localizes");
             harness.run_until(SimTime::from_secs(120));
             harness.sim_mut().schedule_node_fail(SimTime::from_secs(120), hub);
             harness.run_until(SimTime::from_secs(240));
@@ -162,8 +162,9 @@ fn bench_provenance_overhead(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("dense_uunet16_converge", label), |b| {
             b.iter(|| {
                 let mut harness = RoutingHarness::new(topo.clone());
-                let handle =
-                    harness.issue(best_path()).provenance(on).submit().expect("query localizes");
+                let handle = harness
+                    .issue(QueryDef::new(best_path()).provenance(on))
+                    .expect("query localizes");
                 harness.run_until(SimTime::from_secs(120));
                 handle.finite_results(&harness).expect("routes decode").len()
             })

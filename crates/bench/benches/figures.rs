@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dr_bench::runner::{run_best_path_query, run_path_vector_baseline};
-use dr_core::harness::RoutingHarness;
+use dr_core::{QueryDef, RoutingHarness};
 use dr_netsim::{SimDuration, SimTime};
 use dr_protocols::{best_path_pairs, best_path_pairs_share};
 use dr_service::load::{run_inproc, LoadOptions};
@@ -70,19 +70,17 @@ fn bench_pair_queries(c: &mut Criterion) {
                 let mut now = SimTime::ZERO;
                 for i in 0..10 {
                     let (src, dst) = workload.next_pair();
-                    let builder = if share {
-                        harness
-                            .issue(best_path_pairs_share(src, dst, "bestPathCache"))
+                    let def = if share {
+                        QueryDef::new(best_path_pairs_share(src, dst, "bestPathCache"))
                             .named(format!("share-{i}"))
                             .replicated(["magicDsts"])
                             .sharing(true)
                     } else {
-                        harness
-                            .issue(best_path_pairs(src, dst))
+                        QueryDef::new(best_path_pairs(src, dst))
                             .named(format!("pair-{i}"))
                             .replicated(["magicDsts"])
                     };
-                    builder.from(src).at(now).submit().expect("localizes");
+                    harness.issue(def.from(src).at(now)).expect("localizes");
                     now += SimDuration::from_secs(5);
                     harness.run_until(now);
                 }
@@ -121,10 +119,11 @@ fn bench_node_benchmark(c: &mut Criterion) {
                 let src = NodeId::new(0);
                 let dst = NodeId::new((nodes - 1) as u32);
                 let handle = harness
-                    .issue(best_path_pairs(src, dst))
-                    .from(src)
-                    .replicated(["magicDsts"])
-                    .submit()
+                    .issue(
+                        QueryDef::new(best_path_pairs(src, dst))
+                            .from(src)
+                            .replicated(["magicDsts"]),
+                    )
                     .expect("localizes");
                 harness.run_until(SimTime::from_secs(30));
                 handle.finite_results(&harness).expect("routes decode").len()

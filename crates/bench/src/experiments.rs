@@ -13,7 +13,8 @@ use crate::runner::{
     average_link_rtt, full_scale, route_cost_map, run_best_path_query, run_path_vector_baseline,
     Series,
 };
-use dr_core::scenario::{Probe, QueryDef, ScenarioBuilder};
+use dr_core::scenario::{Probe, ScenarioBuilder};
+use dr_core::QueryDef;
 use dr_netsim::{FaultPlan, LinkFaults, LinkParams, SimDuration, SimTime, Topology};
 use dr_protocols::{best_path, best_path_pairs, best_path_pairs_share};
 use dr_types::NodeId;

@@ -3,7 +3,8 @@
 //! convergence, and formatting result series.
 
 use dr_baselines::{PathVectorConfig, PathVectorNode};
-use dr_core::scenario::{QueryDef, ScenarioBuilder, ScenarioReport};
+use dr_core::scenario::{ScenarioBuilder, ScenarioReport};
+use dr_core::QueryDef;
 use dr_netsim::{SimConfig, SimDuration, SimTime, Simulator, Topology};
 use dr_protocols::best_path;
 

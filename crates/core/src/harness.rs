@@ -11,20 +11,28 @@
 //!
 //! # Issuing queries
 //!
-//! Queries are issued through the fluent [`IssueBuilder`] returned by
-//! [`RoutingHarness::issue`], and observed through the typed
-//! [`QueryHandle`] the builder returns:
+//! A [`QueryDef`] describes one issuance; [`RoutingHarness::issue`]
+//! localizes, registers and disseminates it, and returns the typed
+//! [`QueryHandle`] results are observed through:
 //!
-//! ```ignore
-//! let handle = harness
-//!     .issue(best_path())
-//!     .from(NodeId::new(0))
-//!     .at(SimTime::ZERO)
-//!     .submit()?;                       // -> QueryHandle<RouteEntry>
+//! ```
+//! # use dr_core::{QueryDef, RoutingHarness};
+//! # use dr_netsim::{LinkParams, SimTime, Topology};
+//! # use dr_types::{Cost, NodeId};
+//! # let mut topology = Topology::new(2);
+//! # let link = LinkParams::with_latency_ms(10.0).with_cost(Cost::new(1.0));
+//! # topology.add_bidirectional(NodeId::new(0), NodeId::new(1), link);
+//! # let mut harness = RoutingHarness::new(topology);
+//! # let best_path = || dr_datalog::parse_program(
+//! #     "NR1: path(@S,D,P,C) :- link(@S,D,C), P = f_initPath(S,D). Query: path(@S,D,P,C).",
+//! # ).unwrap();
+//! let def = QueryDef::new(best_path()).from(NodeId::new(0)).at(SimTime::ZERO);
+//! let handle = harness.issue(def)?; // -> QueryHandle<RouteEntry>
 //! harness.run_until(SimTime::from_secs(30));
-//! for route in handle.finite_results(&harness)? {
+//! for route in handle.results(&harness)? {
 //!     println!("{} -> {} costs {}", route.src, route.dst, route.cost);
 //! }
+//! # Ok::<(), dr_types::Error>(())
 //! ```
 //!
 //! The handle is a lightweight, clonable token — it borrows nothing, so the
@@ -32,8 +40,7 @@
 
 use crate::localize::localize;
 use crate::processor::{NetMsg, ProcessorConfig, ProcessorStats, QueryProcessor, StateFootprint};
-use crate::query::{QueryId, QueryLibrary, QuerySpec};
-use dr_datalog::ast::Program;
+use crate::query::{QueryDef, QueryId, QueryLibrary, QuerySpec};
 use dr_netsim::{SimConfig, SimDuration, SimTime, Simulator, Topology};
 use dr_provenance::{DerivationTree, ProvId, ProvRecord, ProvRef};
 use dr_types::view::{CostView, FromTuple};
@@ -118,12 +125,6 @@ impl<T> QueryHandle<T> {
     ) -> BTreeMap<NodeId, NodeId> {
         harness.sim.app(node).forwarding_table(self.qid)
     }
-
-    /// A fresh [`ResultCursor`] over this query's deployment-wide result
-    /// set. The first poll reports every current result as added.
-    pub fn cursor(&self) -> ResultCursor {
-        ResultCursor { qid: self.qid, seen: BTreeMap::new() }
-    }
 }
 
 /// Result-set changes observed between two [`ResultCursor`] polls.
@@ -171,16 +172,10 @@ pub struct ResultCursor {
 }
 
 impl ResultCursor {
-    /// A fresh cursor over `qid`'s deployment-wide result set, equivalent
-    /// to [`QueryHandle::cursor`] for callers that hold only the id (e.g. a
-    /// service subscribing on behalf of a remote client).
+    /// A fresh cursor over `qid`'s deployment-wide result set. The first
+    /// poll reports every current result as added.
     pub fn new(qid: QueryId) -> ResultCursor {
         ResultCursor { qid, seen: BTreeMap::new() }
-    }
-
-    /// The query this cursor observes.
-    pub fn query(&self) -> QueryId {
-        self.qid
     }
 
     /// Diff the query's current result set against the last poll, report
@@ -242,127 +237,6 @@ pub(crate) fn average_cost_of<T: CostView>(finite: &[T]) -> f64 {
         return 0.0;
     }
     finite.iter().map(|r| r.cost().value()).sum::<f64>() / finite.len() as f64
-}
-
-/// Fluent specification of a query issuance, created by
-/// [`RoutingHarness::issue`].
-///
-/// Defaults mirror the paper's common case: issued from node 0 at t=0,
-/// aggregate selections on (§7.1), sharing off, no replicated relations, no
-/// extra facts. Call [`IssueBuilder::submit`] to localize the program,
-/// register the canonical [`QuerySpec`], and disseminate the query.
-#[must_use = "the query is only issued when submit() is called"]
-pub struct IssueBuilder<'h> {
-    harness: &'h mut RoutingHarness,
-    program: Program,
-    issuer: NodeId,
-    at: SimTime,
-    name: String,
-    replicated: Vec<String>,
-    aggregate_selections: bool,
-    share_results: bool,
-    cache_relation: String,
-    facts: Vec<Tuple>,
-    record_provenance: bool,
-}
-
-impl<'h> IssueBuilder<'h> {
-    /// The node that issues (and floods) the query. Default: node 0.
-    #[allow(clippy::should_implement_trait)] // fluent DSL: `.from(node)` reads as prose
-    pub fn from(mut self, issuer: NodeId) -> Self {
-        self.issuer = issuer;
-        self
-    }
-
-    /// The simulated time at which the query is injected. Default: t=0.
-    pub fn at(mut self, at: SimTime) -> Self {
-        self.at = at;
-        self
-    }
-
-    /// Human-readable name for logs and experiment output.
-    pub fn named(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
-    /// Relations replicated to every node during dissemination (query
-    /// constants such as `magicSources` / `magicDsts`).
-    pub fn replicated<I, S>(mut self, relations: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.replicated = relations.into_iter().map(Into::into).collect();
-        self
-    }
-
-    /// Toggle the aggregate-selections optimization (§7.1). Default: on.
-    pub fn aggregate_selections(mut self, on: bool) -> Self {
-        self.aggregate_selections = on;
-        self
-    }
-
-    /// Toggle multi-query result sharing through the cache relation (§7.3).
-    /// Default: off.
-    pub fn sharing(mut self, on: bool) -> Self {
-        self.share_results = on;
-        self
-    }
-
-    /// Override the cross-query cache relation (queries computing different
-    /// metrics must not share each other's costs, §9.1.3).
-    pub fn cache_relation(mut self, relation: impl Into<String>) -> Self {
-        self.cache_relation = relation.into();
-        self
-    }
-
-    /// Record derivation provenance for this query, enabling
-    /// [`RoutingHarness::explain`]. Default: off (the evaluation hot path
-    /// then stays byte-identical to a build without provenance).
-    pub fn provenance(mut self, on: bool) -> Self {
-        self.record_provenance = on;
-        self
-    }
-
-    /// Facts installed together with the query (replicated relations go to
-    /// every node, located facts only to the node they name).
-    pub fn facts(mut self, facts: Vec<Tuple>) -> Self {
-        self.facts = facts;
-        self
-    }
-
-    /// Append one fact.
-    pub fn fact(mut self, fact: Tuple) -> Self {
-        self.facts.push(fact);
-        self
-    }
-
-    /// Localize, register, and disseminate the query; results decode as
-    /// [`RouteEntry`] (the shape of every best-path-family protocol).
-    pub fn submit(self) -> Result<QueryHandle<RouteEntry>> {
-        self.submit_view()
-    }
-
-    /// Like [`IssueBuilder::submit`], but type the handle with a different
-    /// result view (e.g. `ReachEntry` for `reachable(@S,D)` results).
-    pub fn submit_view<T: FromTuple>(self) -> Result<QueryHandle<T>> {
-        let replicated: Vec<&str> = self.replicated.iter().map(String::as_str).collect();
-        let localized = Arc::new(localize(&self.program, &replicated)?);
-        let qid = self.harness.next_qid;
-        self.harness.next_qid += 1;
-        let name: Arc<str> = Arc::from(self.name.as_str());
-        let spec = QuerySpec::new(qid, self.name, localized)
-            .with_aggregate_selections(self.aggregate_selections)
-            .with_sharing(self.share_results)
-            .with_cache_relation(self.cache_relation)
-            .with_replicated(self.replicated)
-            .with_facts(self.facts)
-            .with_provenance(self.record_provenance);
-        self.harness.library.register(spec);
-        self.harness.sim.inject(self.at, self.issuer, NetMsg::Install { qid });
-        Ok(QueryHandle { qid, name, _view: PhantomData })
-    }
 }
 
 /// Harness wrapping a simulator full of query processors.
@@ -427,24 +301,21 @@ impl RoutingHarness {
         &mut self.sim
     }
 
-    /// Start issuing `program` as a query: returns a fluent builder whose
-    /// [`IssueBuilder::submit`] localizes the program, registers the
-    /// canonical [`QuerySpec`], disseminates the query, and returns a typed
-    /// [`QueryHandle`].
-    pub fn issue(&mut self, program: Program) -> IssueBuilder<'_> {
-        IssueBuilder {
-            harness: self,
-            program,
-            issuer: NodeId::new(0),
-            at: SimTime::ZERO,
-            name: "query".to_string(),
-            replicated: Vec::new(),
-            aggregate_selections: true,
-            share_results: false,
-            cache_relation: "bestPathCache".to_string(),
-            facts: Vec::new(),
-            record_provenance: false,
-        }
+    /// Issue `def`: localize its program, register the canonical
+    /// [`QuerySpec`] in the shared library, inject the installation flood at
+    /// `def.issuer` at `def.at`, and return a handle whose results decode as
+    /// [`RouteEntry`] (retype it with [`QueryHandle::with_view`]).
+    pub fn issue(&mut self, def: QueryDef) -> Result<QueryHandle<RouteEntry>> {
+        let replicated: Vec<&str> = def.replicated.iter().map(String::as_str).collect();
+        let localized = Arc::new(localize(&def.program, &replicated)?);
+        let qid = self.next_qid;
+        self.next_qid += 1;
+        let name: Arc<str> = Arc::from(def.options.name.as_str());
+        let mut spec = QuerySpec::new(qid, String::new(), localized);
+        spec.options = def.options;
+        self.library.register(spec);
+        self.sim.inject(def.at, def.issuer, NetMsg::Install { qid });
+        Ok(QueryHandle { qid, name, _view: PhantomData })
     }
 
     /// Tear down an issued query across the whole deployment.
@@ -524,7 +395,7 @@ impl RoutingHarness {
     /// Explain how `tuple` was derived under query `qid`: materialize the
     /// full distributed proof tree rooted at the tuple's stored copy.
     ///
-    /// The query must have been issued with [`IssueBuilder::provenance`]
+    /// The query must have been issued with [`QueryDef::provenance`]
     /// turned on. Local derivation records are read directly from their
     /// node's provenance store; cross-node pointers — a shipped tuple
     /// carries a `(node, ProvId)` reference back to its deriving node — are
@@ -693,7 +564,7 @@ pub enum ExplainError {
     UnknownQuery,
     /// The query was torn down; its provenance stores died with it.
     TornDown,
-    /// The query was issued without [`IssueBuilder::provenance`], so there
+    /// The query was issued without [`QueryDef::provenance`], so there
     /// is nothing to explain from.
     NotRecorded,
     /// No node currently stores the tuple (never derived, or pruned away).
@@ -740,7 +611,7 @@ mod tests {
     use super::*;
     use dr_datalog::parse_program;
     use dr_netsim::LinkParams;
-    use dr_types::{Cost, CostEntry, Value};
+    use dr_types::{Cost, CostEntry, RelId, Value};
 
     const BEST_PATH: &str = r#"
         #key(link, 0, 1).
@@ -804,7 +675,7 @@ mod tests {
     fn distributed_best_path_converges_on_figure3() {
         let program = parse_program(BEST_PATH).unwrap();
         let mut harness = RoutingHarness::new(figure3_topology());
-        let handle = harness.issue(program).submit().unwrap();
+        let handle = harness.issue(QueryDef::new(program)).unwrap();
         harness.run_until(SimTime::from_secs(30));
 
         // Every node has a best path to every other node (5 * 4 = 20).
@@ -834,7 +705,7 @@ mod tests {
         // evaluator on bestPathCost values.
         let program = parse_program(BEST_PATH).unwrap();
         let mut harness = RoutingHarness::new(figure3_topology());
-        let handle = harness.issue(program).from(n(3)).submit().unwrap();
+        let handle = harness.issue(QueryDef::new(program).from(n(3))).unwrap();
         harness.run_until(SimTime::from_secs(30));
 
         let mut central_db = dr_datalog::Database::new();
@@ -872,7 +743,7 @@ mod tests {
     #[test]
     fn sampled_scenario_detects_stabilization() {
         let report = crate::scenario::ScenarioBuilder::over(line_topology(4))
-            .query(crate::scenario::QueryDef::new(parse_program(BEST_PATH).unwrap()))
+            .query(QueryDef::new(parse_program(BEST_PATH).unwrap()))
             .sample_every(SimDuration::from_millis(500))
             .until(SimTime::from_secs(20))
             .run()
@@ -893,7 +764,7 @@ mod tests {
         // 2 without reissuing the query.
         let program = parse_program(BEST_PATH).unwrap();
         let mut harness = RoutingHarness::new(figure3_topology());
-        let handle = harness.issue(program).submit().unwrap();
+        let handle = harness.issue(QueryDef::new(program)).unwrap();
         harness.run_until(SimTime::from_secs(30));
         let before = best_path_of(&harness, &handle, 0, 3).unwrap();
         assert_eq!(before.cost, Cost::new(2.0));
@@ -935,7 +806,7 @@ mod tests {
         );
         let program = parse_program(BEST_PATH).unwrap();
         let mut harness = RoutingHarness::new(topo);
-        let handle = harness.issue(program).submit().unwrap();
+        let handle = harness.issue(QueryDef::new(program)).unwrap();
         harness.run_until(SimTime::from_secs(20));
         let before = best_path_of(&harness, &handle, 0, 2).unwrap();
         assert_eq!(before.cost, Cost::new(2.0));
@@ -966,7 +837,8 @@ mod tests {
 
         let run = |agg: bool| {
             let mut harness = RoutingHarness::new(figure3_topology());
-            let handle = harness.issue(program.clone()).aggregate_selections(agg).submit().unwrap();
+            let handle =
+                harness.issue(QueryDef::new(program.clone()).aggregate_selections(agg)).unwrap();
             harness.run_until(SimTime::from_secs(40));
             let mut costs: Vec<(NodeId, NodeId, u64)> = handle
                 .finite_results(&harness)
@@ -993,7 +865,7 @@ mod tests {
         // still installs the query everywhere.
         let program = parse_program(BEST_PATH).unwrap();
         let mut harness = RoutingHarness::new(line_topology(5));
-        let handle = harness.issue(program).from(n(4)).submit().unwrap();
+        let handle = harness.issue(QueryDef::new(program).from(n(4))).unwrap();
         harness.run_until(SimTime::from_secs(30));
         for i in 0..5u32 {
             assert!(
@@ -1013,29 +885,30 @@ mod tests {
     }
 
     #[test]
-    fn builder_records_the_canonical_spec() {
+    fn issue_records_the_canonical_spec() {
         let program = parse_program(BEST_PATH).unwrap();
         let mut harness = RoutingHarness::new(line_topology(2));
         let handle = harness
-            .issue(program)
-            .from(n(1))
-            .at(SimTime::from_secs(1))
-            .named("spec-check")
-            .replicated(["magicDsts"])
-            .aggregate_selections(false)
-            .sharing(true)
-            .cache_relation("latCache")
-            .fact(Tuple::new("magicDsts", vec![Value::Node(n(1))]))
-            .submit()
+            .issue(
+                QueryDef::new(program)
+                    .from(n(1))
+                    .at(SimTime::from_secs(1))
+                    .named("spec-check")
+                    .replicated(["magicDsts"])
+                    .aggregate_selections(false)
+                    .sharing(true)
+                    .cache_relation("latCache")
+                    .fact(Tuple::new("magicDsts", vec![Value::Node(n(1))])),
+            )
             .unwrap();
         assert_eq!(handle.name(), "spec-check");
         let spec = harness.library().get(handle.id()).expect("spec registered");
-        assert_eq!(spec.name, "spec-check");
-        assert!(!spec.aggregate_selections);
-        assert!(spec.share_results);
-        assert_eq!(spec.cache_relation, "latCache");
-        assert_eq!(spec.replicated, vec!["magicDsts".to_string()]);
-        assert_eq!(spec.facts.len(), 1);
+        assert_eq!(spec.options.name, "spec-check");
+        assert!(!spec.options.aggregate_selections);
+        assert!(spec.options.share_results);
+        assert_eq!(spec.options.cache_relation, "latCache");
+        assert!(spec.program.is_replicated(RelId::intern("magicDsts")));
+        assert_eq!(spec.options.facts.len(), 1);
     }
 
     #[test]
@@ -1043,7 +916,7 @@ mod tests {
         use dr_types::ReachEntry;
         let program = parse_program(BEST_PATH).unwrap();
         let mut harness = RoutingHarness::new(line_topology(3));
-        let handle = harness.issue(program).submit().unwrap();
+        let handle = harness.issue(QueryDef::new(program)).unwrap();
         harness.run_until(SimTime::from_secs(30));
         let reach: Vec<ReachEntry> = handle.with_view::<ReachEntry>().results(&harness).unwrap();
         assert_eq!(reach.len(), 6); // 3*2 ordered pairs
@@ -1058,7 +931,7 @@ mod tests {
         // finite_results, not silently count malformed rows as finite.
         let program = parse_program(BEST_PATH).unwrap();
         let mut harness = RoutingHarness::new(line_topology(3));
-        let handle = harness.issue(program).submit_view::<CostEntry>().unwrap();
+        let handle = harness.issue(QueryDef::new(program)).unwrap().with_view::<CostEntry>();
         harness.run_until(SimTime::from_secs(30));
         let err = handle.finite_results(&harness).unwrap_err();
         assert!(matches!(err, dr_types::Error::Decode(_)), "{err}");
@@ -1088,10 +961,7 @@ mod tests {
         };
         let mut harness = RoutingHarness::new(line_topology(2));
         let handle = harness
-            .issue(program)
-            .from(n(0))
-            .facts(vec![cand(7, 2.0), cand(8, 5.0)])
-            .submit()
+            .issue(QueryDef::new(program).from(n(0)).facts(vec![cand(7, 2.0), cand(8, 5.0)]))
             .unwrap();
         harness.run_until(SimTime::from_secs(5));
         let qid = handle.id();
@@ -1124,7 +994,7 @@ mod tests {
         let baseline = harness.state_footprint();
         assert!(baseline.is_empty());
 
-        let handle = harness.issue(program).submit().unwrap();
+        let handle = harness.issue(QueryDef::new(program)).unwrap();
         harness.run_until(SimTime::from_secs(30));
         assert_eq!(handle.finite_results(&harness).unwrap().len(), 20);
         assert!(!harness.state_footprint().is_empty());
@@ -1158,7 +1028,7 @@ mod tests {
     fn teardown_drops_shared_cache_with_last_user() {
         let program = parse_program(BEST_PATH).unwrap();
         let mut harness = RoutingHarness::new(figure3_topology());
-        let shared = harness.issue(program.clone()).sharing(true).submit().unwrap();
+        let shared = harness.issue(QueryDef::new(program.clone()).sharing(true)).unwrap();
         harness.run_until(SimTime::from_secs(30));
         let cached: usize =
             (0..5u32).map(|i| harness.sim().app(n(i)).best_path_cache().len()).sum();
@@ -1172,7 +1042,7 @@ mod tests {
         assert!(harness.state_footprint().is_empty());
 
         // The engine stays fully usable: a fresh query converges as usual.
-        let fresh = harness.issue(program).at(SimTime::from_secs(62)).submit().unwrap();
+        let fresh = harness.issue(QueryDef::new(program).at(SimTime::from_secs(62))).unwrap();
         harness.run_until(SimTime::from_secs(100));
         assert_eq!(fresh.finite_results(&harness).unwrap().len(), 20);
     }
@@ -1185,7 +1055,7 @@ mod tests {
         // unwinds too.
         let program = parse_program(BEST_PATH).unwrap();
         let mut harness = RoutingHarness::new(figure3_topology());
-        let handle = harness.issue(program).submit().unwrap();
+        let handle = harness.issue(QueryDef::new(program)).unwrap();
         harness.run_until(SimTime::from_secs(30));
 
         harness.sim_mut().schedule_node_fail(SimTime::from_secs(30), n(1));
@@ -1221,8 +1091,8 @@ mod tests {
     fn cursor_streams_added_and_removed_results() {
         let program = parse_program(BEST_PATH).unwrap();
         let mut harness = RoutingHarness::new(figure3_topology());
-        let handle = harness.issue(program).submit().unwrap();
-        let mut cursor = handle.cursor();
+        let handle = harness.issue(QueryDef::new(program)).unwrap();
+        let mut cursor = ResultCursor::new(handle.id());
         assert!(cursor.poll(&harness).is_empty(), "nothing ran yet");
 
         harness.run_until(SimTime::from_secs(30));
@@ -1273,7 +1143,7 @@ mod tests {
     fn explain_materializes_distributed_proof_tree() {
         let program = parse_program(BEST_PATH).unwrap();
         let mut harness = RoutingHarness::new(figure3_topology());
-        let handle = harness.issue(program).provenance(true).submit().unwrap();
+        let handle = harness.issue(QueryDef::new(program).provenance(true)).unwrap();
         harness.run_until(SimTime::from_secs(30));
         let qid = handle.id();
 
@@ -1317,12 +1187,12 @@ mod tests {
         assert_eq!(harness.explain(99, &bogus), Err(ExplainError::UnknownQuery));
 
         // Issued without provenance recording.
-        let handle = harness.issue(program.clone()).submit().unwrap();
+        let handle = harness.issue(QueryDef::new(program.clone())).unwrap();
         harness.run_until(SimTime::from_secs(10));
         assert_eq!(harness.explain(handle.id(), &bogus), Err(ExplainError::NotRecorded));
 
         // Recorded, but the tuple does not exist anywhere.
-        let handle2 = harness.issue(program).provenance(true).submit().unwrap();
+        let handle2 = harness.issue(QueryDef::new(program).provenance(true)).unwrap();
         harness.run_until(SimTime::from_secs(20));
         assert_eq!(harness.explain(handle2.id(), &bogus), Err(ExplainError::NoSuchTuple));
 
@@ -1347,7 +1217,7 @@ mod tests {
     fn explain_diff_reports_route_change_after_link_failure() {
         let program = parse_program(BEST_PATH).unwrap();
         let mut harness = RoutingHarness::new(figure3_topology());
-        let handle = harness.issue(program).provenance(true).submit().unwrap();
+        let handle = harness.issue(QueryDef::new(program).provenance(true)).unwrap();
         harness.run_until(SimTime::from_secs(30));
         let qid = handle.id();
         let route = |h: &RoutingHarness, d: u32| {

@@ -14,10 +14,12 @@
 //!   dataflows: rules whose body atoms live at different addresses are split
 //!   into a local join at an *anchor* node plus tuple-shipping "clouds"
 //!   (paper §3.3, Figure 2).
-//! * [`query`] — a [`QuerySpec`] bundles the localized program with runtime
-//!   options (aggregate selections, result sharing, lifetime); a
-//!   [`QueryLibrary`] is the catalog of specs every node knows about, so
-//!   that query dissemination only needs to flood an identifier.
+//! * [`query`] — a [`QueryDef`] is one issuance (program, issuer, time,
+//!   replicated relations and [`QueryOptions`]: aggregate selections,
+//!   result sharing, cache relation, facts, provenance); a [`QuerySpec`]
+//!   bundles the localized program with those options; a [`QueryLibrary`]
+//!   is the catalog of specs every node knows about, so that query
+//!   dissemination only needs to flood an identifier.
 //! * [`processor`] — the [`QueryProcessor`] node application: batching,
 //!   semi-naïve incremental recomputation on base-table updates (paper §8),
 //!   aggregate selections (§7.1), multi-query sharing through the
@@ -30,9 +32,8 @@
 //!   per-(hop, query) sequenced streams with cumulative acks,
 //!   retransmission and a reorder buffer, for wires that lose messages.
 //! * [`harness`] — glue for experiments: build a simulator over a topology,
-//!   issue queries through the fluent [`IssueBuilder`], and observe typed
-//!   results, convergence, and communication statistics through
-//!   [`QueryHandle`]s.
+//!   issue [`QueryDef`]s, and observe typed results, convergence, and
+//!   communication statistics through [`QueryHandle`]s.
 //! * [`scenario`] — declarative experiment descriptions: a
 //!   [`ScenarioBuilder`] composes a topology, an event timeline (query
 //!   issuance, churn, link dynamics, injections), and typed [`Probe`]s,
@@ -45,7 +46,7 @@
 //! values:
 //!
 //! ```
-//! use dr_core::harness::RoutingHarness;
+//! use dr_core::{QueryDef, RoutingHarness};
 //! use dr_datalog::parse_program;
 //! use dr_netsim::{LinkParams, SimTime, Topology};
 //! use dr_types::{Cost, NodeId};
@@ -76,7 +77,7 @@
 //! }
 //!
 //! let mut harness = RoutingHarness::new(topology);
-//! let handle = harness.issue(program).from(NodeId::new(0)).at(SimTime::ZERO).submit()?;
+//! let handle = harness.issue(QueryDef::new(program).from(NodeId::new(0)).at(SimTime::ZERO))?;
 //! harness.run_until(SimTime::from_secs(30));
 //!
 //! let routes = handle.finite_results(&harness)?; // Vec<RouteEntry>
@@ -101,15 +102,11 @@ pub use dr_provenance::{
     diff_explanations, DerivationStep, DerivationTree, ExplanationDiff, ProvId, ProvRecord,
     ProvRef, ProvStore,
 };
-pub use harness::{
-    ExplainError, IssueBuilder, QueryHandle, ResultCursor, ResultsDelta, RoutingHarness, Sample,
-};
+pub use harness::{ExplainError, QueryHandle, ResultCursor, ResultsDelta, RoutingHarness, Sample};
 pub use localize::{LocalizedProgram, LocalizedRule, ShipSpec};
 pub use processor::{
     NetMsg, ProcessorConfig, ProcessorStats, ProvTag, QueryProcessor, StateFootprint,
 };
-pub use query::{QueryId, QueryLibrary, QuerySpec};
-pub use scenario::{
-    Probe, QueryDef, QueryReport, Scenario, ScenarioBuilder, ScenarioReport, ScenarioRun,
-};
+pub use query::{QueryDef, QueryId, QueryLibrary, QueryOptions, QuerySpec};
+pub use scenario::{Probe, QueryReport, Scenario, ScenarioBuilder, ScenarioReport, ScenarioRun};
 pub use transport::ReliabilityConfig;

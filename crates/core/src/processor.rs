@@ -352,10 +352,10 @@ struct Instance {
     /// Interned id of the spec's cross-query cache relation.
     cache_rel: RelId,
     /// Derivation-provenance arena, allocated only when the spec asks for
-    /// recording ([`QuerySpec::record_provenance`]). `None` means the query
-    /// runs the exact pre-provenance hot path: no store, no per-firing
-    /// bookkeeping, empty wire tags. Owned by the instance so teardown
-    /// drops every record with the rest of the query's state.
+    /// recording ([`crate::QueryOptions::record_provenance`]). `None`
+    /// means the query runs the exact pre-provenance hot path: no store, no
+    /// per-firing bookkeeping, empty wire tags. Owned by the instance so
+    /// teardown drops every record with the rest of the query's state.
     prov: Option<ProvStore>,
 }
 
@@ -391,9 +391,9 @@ impl Instance {
                 db.declare_index(rel, field);
             }
         }
-        let cache_rel = RelId::intern(&spec.cache_relation);
-        let prov = spec.record_provenance.then(ProvStore::new);
-        let gate = AdmissionGate::new(Arc::clone(&spec.program), spec.aggregate_selections);
+        let cache_rel = RelId::intern(&spec.options.cache_relation);
+        let prov = spec.options.record_provenance.then(ProvStore::new);
+        let gate = AdmissionGate::new(Arc::clone(&spec.program), spec.options.aggregate_selections);
         Instance {
             spec,
             db,
@@ -678,8 +678,8 @@ impl QueryProcessor {
             return;
         }
         let Some(spec) = self.config.library.get(qid) else { return };
-        if spec.share_results {
-            self.shared.declare_key(spec.cache_relation.as_str(), vec![0, 1]);
+        if spec.options.share_results {
+            self.shared.declare_key(spec.options.cache_relation.as_str(), vec![0, 1]);
         }
         let program = Arc::clone(&spec.program);
         let instance =
@@ -700,7 +700,7 @@ impl QueryProcessor {
         // Install the query's facts: replicated relations everywhere, others
         // only at their home node.
         let mut outbound = Outbound::default();
-        for fact in spec.facts.iter().cloned() {
+        for fact in spec.options.facts.iter().cloned() {
             self.route_tuple(qid, fact, Origin::Base, &mut outbound);
         }
         // Materialize the program's own ground facts (constant rules such as
@@ -914,7 +914,7 @@ impl QueryProcessor {
 
         // Multi-query sharing: completed best paths go into the shared
         // cache and, from their source, along the reverse path.
-        if instance.spec.share_results && program.result_relations.contains(&relation) {
+        if instance.spec.options.share_results && program.result_relations.contains(&relation) {
             if let Some((s, dest, path, cost)) = best_path_fields(&tuple) {
                 let cache = instance.cache_rel;
                 if dataflow && s == my_id && cost.is_finite() {

@@ -1,33 +1,38 @@
-//! Query specifications and the per-deployment query library.
+//! Query issuances, specifications and the per-deployment query library.
 //!
-//! A [`QuerySpec`] is one routing protocol or route request: a localized
-//! program plus runtime options (aggregate selections, result sharing) and
-//! per-issuance facts (e.g. the `magicSources` / `magicDsts` constants of a
-//! Best-Path-Pairs query). The [`QueryLibrary`] maps query identifiers to
-//! specs; every node holds the same library, so disseminating a query over
-//! the network only requires flooding its identifier and facts — mirroring
-//! the paper's observation (§3.5) that queries may be "baked in" or
-//! disseminated on first use.
+//! A [`QueryDef`] is one issuance: a Datalog program, the node and time it
+//! is issued at, the relations replicated with it, and its
+//! [`QueryOptions`] — aggregate selections (§7.1), result sharing through a
+//! cache relation (§7.3, one per metric §9.1.3), provenance recording, and
+//! the facts disseminated with the query (e.g. the `magicSources` /
+//! `magicDsts` constants of a Best-Path-Pairs query). Issuing localizes the
+//! program into a [`QuerySpec`]: the localized program plus those options.
+//! The [`QueryLibrary`] maps query identifiers to specs; every node holds
+//! the same library, so disseminating a query over the network only
+//! requires flooding its identifier and facts — mirroring the paper's
+//! observation (§3.5) that queries may be "baked in" or disseminated on
+//! first use.
 
 use crate::localize::LocalizedProgram;
+use dr_datalog::ast::Program;
 use dr_datalog::eval::RuleEval;
-use dr_types::Tuple;
+use dr_netsim::SimTime;
+use dr_types::{NodeId, Tuple};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Identifier of an issued query.
 pub type QueryId = u64;
 
-/// A query (routing protocol or route request) ready for distributed
-/// execution.
-#[derive(Debug, Clone)]
-pub struct QuerySpec {
-    /// Unique identifier used in dissemination and tuple messages.
-    pub id: QueryId,
+/// The per-query switches of an issuance, carried by its [`QuerySpec`].
+///
+/// [`QueryOptions::default`] is the paper's common case and the one place
+/// the defaults are written: aggregate selections on, sharing off through
+/// `bestPathCache`, no extra facts, no provenance.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryOptions {
     /// Human-readable name for logs and experiment output.
     pub name: String,
-    /// The localized program.
-    pub program: Arc<LocalizedProgram>,
     /// Enable the aggregate-selections optimization (§7.1) for this query.
     pub aggregate_selections: bool,
     /// Share results across queries through a node-local cache table
@@ -40,11 +45,6 @@ pub struct QuerySpec {
     /// the paper's mixed-workload observation that "only queries that
     /// compute the same metric are likely to benefit from sharing" (§9.1.3).
     pub cache_relation: String,
-    /// Relations whose facts are replicated to every node during
-    /// dissemination (query constants such as `magicSources` / `magicDsts`).
-    /// Recorded here so the spec is the single canonical description of an
-    /// issuance; the localized program already bakes the rewrite in.
-    pub replicated: Vec<String>,
     /// Facts installed when the query is disseminated. Facts of replicated
     /// relations are installed at every node; other facts are installed only
     /// at the node named by their location field.
@@ -56,6 +56,135 @@ pub struct QuerySpec {
     /// default — when off, no store is allocated and the evaluation hot
     /// path is byte-identical to a build without provenance.
     pub record_provenance: bool,
+}
+
+impl Default for QueryOptions {
+    fn default() -> QueryOptions {
+        QueryOptions {
+            name: "query".to_string(),
+            aggregate_selections: true,
+            share_results: false,
+            cache_relation: "bestPathCache".to_string(),
+            facts: Vec::new(),
+            record_provenance: false,
+        }
+    }
+}
+
+/// A query issuance as plain data: what `RoutingHarness::issue` localizes,
+/// registers and disseminates, and what a scenario replays in order.
+///
+/// [`QueryDef::new`] issues from node 0 at t=0 with no replicated
+/// relations and the default [`QueryOptions`]; the fluent setters override
+/// one value each.
+#[derive(Debug, Clone)]
+pub struct QueryDef {
+    /// The program to localize and run.
+    pub program: Program,
+    /// The node that issues (and floods) the query.
+    pub issuer: NodeId,
+    /// The simulated time at which the query is injected.
+    pub at: SimTime,
+    /// Relations replicated to every node during dissemination (query
+    /// constants such as `magicSources` / `magicDsts`); localization bakes
+    /// the rewrite into the program.
+    pub replicated: Vec<String>,
+    /// The per-query switches the spec carries.
+    pub options: QueryOptions,
+}
+
+impl QueryDef {
+    /// An issuance of `program` with the default options.
+    pub fn new(program: Program) -> QueryDef {
+        QueryDef {
+            program,
+            issuer: NodeId::new(0),
+            at: SimTime::ZERO,
+            replicated: Vec::new(),
+            options: QueryOptions::default(),
+        }
+    }
+
+    /// The node that issues (and floods) the query. Default: node 0.
+    #[allow(clippy::should_implement_trait)] // fluent DSL: `.from(node)` reads as prose
+    pub fn from(mut self, issuer: NodeId) -> Self {
+        self.issuer = issuer;
+        self
+    }
+
+    /// The simulated time at which the query is injected. Default: t=0.
+    pub fn at(mut self, at: SimTime) -> Self {
+        self.at = at;
+        self
+    }
+
+    /// Human-readable name for logs, reports and experiment output.
+    pub fn named(mut self, name: impl Into<String>) -> Self {
+        self.options.name = name.into();
+        self
+    }
+
+    /// Relations replicated to every node during dissemination.
+    pub fn replicated<I, S>(mut self, relations: I) -> Self
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        self.replicated = relations.into_iter().map(Into::into).collect();
+        self
+    }
+
+    /// Toggle the aggregate-selections optimization (§7.1). Default: on.
+    pub fn aggregate_selections(mut self, on: bool) -> Self {
+        self.options.aggregate_selections = on;
+        self
+    }
+
+    /// Toggle multi-query result sharing through the cache relation (§7.3).
+    /// Default: off.
+    pub fn sharing(mut self, on: bool) -> Self {
+        self.options.share_results = on;
+        self
+    }
+
+    /// Override the cross-query cache relation (queries computing different
+    /// metrics must not share each other's costs, §9.1.3).
+    pub fn cache_relation(mut self, relation: impl Into<String>) -> Self {
+        self.options.cache_relation = relation.into();
+        self
+    }
+
+    /// Record derivation provenance, enabling `RoutingHarness::explain`.
+    /// Default: off.
+    pub fn provenance(mut self, on: bool) -> Self {
+        self.options.record_provenance = on;
+        self
+    }
+
+    /// Facts installed together with the query (replicated relations go to
+    /// every node, located facts only to the node they name).
+    pub fn facts(mut self, facts: Vec<Tuple>) -> Self {
+        self.options.facts = facts;
+        self
+    }
+
+    /// Append one fact.
+    pub fn fact(mut self, fact: Tuple) -> Self {
+        self.options.facts.push(fact);
+        self
+    }
+}
+
+/// A query (routing protocol or route request) ready for distributed
+/// execution.
+#[derive(Debug, Clone)]
+pub struct QuerySpec {
+    /// Unique identifier used in dissemination and tuple messages.
+    pub id: QueryId,
+    /// The localized program.
+    pub program: Arc<LocalizedProgram>,
+    /// The per-query switches of the issuance.
+    pub options: QueryOptions,
     /// Statically compiled rule plans, built lazily on the first
     /// installation and shared by every node instance of this spec. Every
     /// local table is empty at installation time, so the static plans are
@@ -65,19 +194,12 @@ pub struct QuerySpec {
 }
 
 impl QuerySpec {
-    /// Create a spec with default options (aggregate selections on, sharing
-    /// off, no extra facts).
+    /// A spec named `name` with the default [`QueryOptions`].
     pub fn new(id: QueryId, name: impl Into<String>, program: Arc<LocalizedProgram>) -> QuerySpec {
         QuerySpec {
             id,
-            name: name.into(),
             program,
-            aggregate_selections: true,
-            share_results: false,
-            cache_relation: "bestPathCache".to_string(),
-            replicated: Vec::new(),
-            facts: Vec::new(),
-            record_provenance: false,
+            options: QueryOptions { name: name.into(), ..QueryOptions::default() },
             static_plans: OnceLock::new(),
         }
     }
@@ -92,42 +214,6 @@ impl QuerySpec {
         Arc::clone(self.static_plans.get_or_init(|| {
             Arc::new(self.program.rules.iter().map(|lrule| RuleEval::new(&lrule.rule)).collect())
         }))
-    }
-
-    /// Builder-style override of the cross-query cache relation name.
-    pub fn with_cache_relation(mut self, relation: impl Into<String>) -> QuerySpec {
-        self.cache_relation = relation.into();
-        self
-    }
-
-    /// Builder-style toggle for aggregate selections.
-    pub fn with_aggregate_selections(mut self, on: bool) -> QuerySpec {
-        self.aggregate_selections = on;
-        self
-    }
-
-    /// Builder-style toggle for multi-query sharing.
-    pub fn with_sharing(mut self, on: bool) -> QuerySpec {
-        self.share_results = on;
-        self
-    }
-
-    /// Builder-style record of the replicated relations.
-    pub fn with_replicated(mut self, replicated: Vec<String>) -> QuerySpec {
-        self.replicated = replicated;
-        self
-    }
-
-    /// Builder-style fact installation.
-    pub fn with_facts(mut self, facts: Vec<Tuple>) -> QuerySpec {
-        self.facts = facts;
-        self
-    }
-
-    /// Builder-style toggle for derivation-provenance recording.
-    pub fn with_provenance(mut self, on: bool) -> QuerySpec {
-        self.record_provenance = on;
-        self
     }
 }
 
@@ -187,7 +273,7 @@ mod tests {
     use super::*;
     use crate::localize::localize;
     use dr_datalog::parse_program;
-    use dr_types::{NodeId, Value};
+    use dr_types::Value;
 
     fn sample_program() -> Arc<LocalizedProgram> {
         let p = parse_program(
@@ -201,26 +287,41 @@ mod tests {
     }
 
     #[test]
-    fn spec_builder_options() {
-        let spec = QuerySpec::new(7, "best-path", sample_program())
-            .with_aggregate_selections(false)
-            .with_sharing(true)
-            .with_facts(vec![Tuple::new("magicSources", vec![Value::Node(NodeId::new(3))])]);
-        assert_eq!(spec.id, 7);
-        assert_eq!(spec.name, "best-path");
-        assert!(!spec.aggregate_selections);
-        assert!(spec.share_results);
-        assert_eq!(spec.facts.len(), 1);
+    fn def_setters_fill_the_options() {
+        let def = QueryDef::new(Program::default())
+            .from(NodeId::new(2))
+            .at(SimTime::from_secs(1))
+            .named("pairs")
+            .replicated(["magicDsts"])
+            .aggregate_selections(false)
+            .sharing(true)
+            .cache_relation("latCache")
+            .provenance(true)
+            .fact(Tuple::new("magicSources", vec![Value::Node(NodeId::new(3))]));
+        assert_eq!((def.issuer, def.at), (NodeId::new(2), SimTime::from_secs(1)));
+        assert_eq!(def.replicated, vec!["magicDsts".to_string()]);
+        assert_eq!(
+            def.options,
+            QueryOptions {
+                name: "pairs".to_string(),
+                aggregate_selections: false,
+                share_results: true,
+                cache_relation: "latCache".to_string(),
+                facts: vec![Tuple::new("magicSources", vec![Value::Node(NodeId::new(3))])],
+                record_provenance: true,
+            }
+        );
     }
 
     #[test]
     fn defaults_enable_aggregate_selections_only() {
         let spec = QuerySpec::new(1, "q", sample_program());
-        assert!(spec.aggregate_selections);
-        assert!(!spec.share_results);
-        assert!(spec.facts.is_empty());
-        assert!(!spec.record_provenance);
-        assert!(spec.with_provenance(true).record_provenance);
+        assert_eq!(spec.options, QueryOptions { name: "q".to_string(), ..QueryOptions::default() });
+        assert!(spec.options.aggregate_selections);
+        assert!(!spec.options.share_results);
+        assert!(spec.options.facts.is_empty());
+        assert!(!spec.options.record_provenance);
+        assert_eq!(QueryDef::new(Program::default()).options, QueryOptions::default());
     }
 
     #[test]
@@ -230,7 +331,7 @@ mod tests {
         lib.register(QuerySpec::new(1, "a", sample_program()));
         lib.register(QuerySpec::new(2, "b", sample_program()));
         assert_eq!(lib.len(), 2);
-        assert_eq!(lib.get(1).unwrap().name, "a");
+        assert_eq!(lib.get(1).unwrap().options.name, "a");
         assert!(lib.get(9).is_none());
         assert!(lib.remove(1).is_some());
         assert!(lib.get(1).is_none());
@@ -243,7 +344,7 @@ mod tests {
         lib.register(QuerySpec::new(1, "old", sample_program()));
         lib.register(QuerySpec::new(1, "new", sample_program()));
         assert_eq!(lib.len(), 1);
-        assert_eq!(lib.get(1).unwrap().name, "new");
+        assert_eq!(lib.get(1).unwrap().options.name, "new");
     }
 
     #[test]
@@ -251,6 +352,6 @@ mod tests {
         let lib = Arc::new(QueryLibrary::new());
         let other = Arc::clone(&lib);
         lib.register(QuerySpec::new(5, "shared", sample_program()));
-        assert_eq!(other.get(5).unwrap().name, "shared");
+        assert_eq!(other.get(5).unwrap().options.name, "shared");
     }
 }

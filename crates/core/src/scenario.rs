@@ -29,7 +29,8 @@
 //! Heal a failed node on a triangle and measure the recovery:
 //!
 //! ```
-//! use dr_core::scenario::{Probe, QueryDef, ScenarioBuilder};
+//! use dr_core::scenario::{Probe, ScenarioBuilder};
+//! use dr_core::QueryDef;
 //! use dr_datalog::parse_program;
 //! use dr_netsim::{LinkParams, SimDuration, SimTime, Topology};
 //! use dr_types::{Cost, NodeId};
@@ -76,120 +77,12 @@
 
 use crate::harness::{average_cost_of, converged_at, QueryHandle, RoutingHarness, Sample};
 use crate::processor::{NetMsg, ProcessorStats, ReliabilityConfig};
-use dr_datalog::ast::Program;
+use crate::query::QueryDef;
 use dr_netsim::timeline::{EventSource, TimelineEvent};
 use dr_netsim::{FaultPlan, SimDuration, SimTime, Topology};
 use dr_types::view::CostView;
-use dr_types::{Error, NodeId, Result, RouteEntry, Tuple};
+use dr_types::{Error, NodeId, Result, RouteEntry};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// A declarative query issuance: everything `RoutingHarness::issue`'s
-/// fluent builder accepts, as plain data the scenario replays in order.
-///
-/// Defaults mirror the paper's common case (and [`crate::IssueBuilder`]):
-/// issued from node 0 at t=0, aggregate selections on, sharing off.
-#[derive(Debug, Clone)]
-pub struct QueryDef {
-    program: Program,
-    issuer: NodeId,
-    at: SimTime,
-    name: String,
-    replicated: Vec<String>,
-    aggregate_selections: bool,
-    share_results: bool,
-    cache_relation: String,
-    facts: Vec<Tuple>,
-}
-
-impl QueryDef {
-    /// A query issuance of `program` with the default options.
-    pub fn new(program: Program) -> QueryDef {
-        QueryDef {
-            program,
-            issuer: NodeId::new(0),
-            at: SimTime::ZERO,
-            name: "query".to_string(),
-            replicated: Vec::new(),
-            aggregate_selections: true,
-            share_results: false,
-            cache_relation: "bestPathCache".to_string(),
-            facts: Vec::new(),
-        }
-    }
-
-    /// The node that issues (and floods) the query. Default: node 0.
-    #[allow(clippy::should_implement_trait)] // fluent DSL: `.from(node)` reads as prose
-    pub fn from(mut self, issuer: NodeId) -> Self {
-        self.issuer = issuer;
-        self
-    }
-
-    /// The simulated time at which the query is injected. Default: t=0.
-    pub fn at(mut self, at: SimTime) -> Self {
-        self.at = at;
-        self
-    }
-
-    /// Human-readable name for the report and logs.
-    pub fn named(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
-    /// Relations replicated to every node during dissemination.
-    pub fn replicated<I, S>(mut self, relations: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.replicated = relations.into_iter().map(Into::into).collect();
-        self
-    }
-
-    /// Toggle the aggregate-selections optimization (§7.1). Default: on.
-    pub fn aggregate_selections(mut self, on: bool) -> Self {
-        self.aggregate_selections = on;
-        self
-    }
-
-    /// Toggle multi-query result sharing (§7.3). Default: off.
-    pub fn sharing(mut self, on: bool) -> Self {
-        self.share_results = on;
-        self
-    }
-
-    /// Override the cross-query cache relation (§9.1.3).
-    pub fn cache_relation(mut self, relation: impl Into<String>) -> Self {
-        self.cache_relation = relation.into();
-        self
-    }
-
-    /// Facts installed together with the query.
-    pub fn facts(mut self, facts: Vec<Tuple>) -> Self {
-        self.facts = facts;
-        self
-    }
-
-    /// Append one fact.
-    pub fn fact(mut self, fact: Tuple) -> Self {
-        self.facts.push(fact);
-        self
-    }
-
-    fn submit_on(&self, harness: &mut RoutingHarness) -> Result<QueryHandle<RouteEntry>> {
-        harness
-            .issue(self.program.clone())
-            .from(self.issuer)
-            .at(self.at)
-            .named(self.name.clone())
-            .replicated(self.replicated.iter().cloned())
-            .aggregate_selections(self.aggregate_selections)
-            .sharing(self.share_results)
-            .cache_relation(self.cache_relation.clone())
-            .facts(self.facts.clone())
-            .submit()
-    }
-}
 
 /// The measurements a scenario records while its timeline plays out.
 ///
@@ -419,8 +312,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Override the reliable-transport tuning (or enable it without any
-    /// faults — e.g. to measure its overhead on a clean wire).
+    /// Run the processors on the reliable transport without installing a
+    /// fault plan — e.g. to measure its overhead on a clean wire.
     pub fn reliability(mut self, config: ReliabilityConfig) -> Self {
         self.reliability = Some(config);
         self
@@ -589,8 +482,8 @@ impl Scenario {
         let detection_s = harness.sim().config().failure_detection_delay.as_secs_f64();
 
         let mut handles = Vec::with_capacity(spec.queries.len());
-        for def in &spec.queries {
-            handles.push(def.submit_on(&mut harness)?);
+        for def in spec.queries {
+            handles.push(harness.issue(def)?);
         }
 
         // Warm up to the sampling window, then schedule the timeline. This
@@ -1087,7 +980,7 @@ mod tests {
         // Hand-rolled sampling loop over an identical deployment: the
         // scenario probe must be exactly this, nothing more.
         let mut harness = RoutingHarness::new(line(4));
-        let handle = harness.issue(parse_program(BEST_PATH).unwrap()).submit().unwrap();
+        let handle = harness.issue(QueryDef::new(parse_program(BEST_PATH).unwrap())).unwrap();
         let mut samples = Vec::new();
         let mut t = SimTime::ZERO;
         while t < SimTime::from_secs(20) {

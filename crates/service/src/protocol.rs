@@ -15,6 +15,7 @@
 //! the server down. [`FrameBuf`] is the incremental reassembler for stream
 //! transports, where one `read` may carry half a frame or three.
 
+use dr_core::QueryOptions;
 use dr_types::{Cost, NodeId, PathVector, Tuple, Value};
 
 /// Hard upper bound on a frame's payload size (16 MiB). A length prefix
@@ -100,8 +101,9 @@ impl ErrorCode {
     }
 }
 
-/// Options of an `IssueQuery` request — the wire twin of the harness's
-/// `IssueBuilder` knobs.
+/// Options of an `IssueQuery` request — the wire twin of a
+/// [`dr_core::QueryDef`]: its issuer, replicated relations and
+/// [`QueryOptions`]. The service maps it onto a `QueryDef` field by field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IssueOptions {
     /// Human-readable query name.
@@ -123,17 +125,19 @@ pub struct IssueOptions {
     pub record_provenance: bool,
 }
 
+/// Node 0, nothing replicated, and the engine's [`QueryOptions::default`].
 impl Default for IssueOptions {
     fn default() -> IssueOptions {
+        let options = QueryOptions::default();
         IssueOptions {
-            name: "query".to_string(),
+            name: options.name,
             issuer: 0,
             replicated: Vec::new(),
-            aggregate_selections: true,
-            share_results: false,
-            cache_relation: "bestPathCache".to_string(),
-            facts: Vec::new(),
-            record_provenance: false,
+            aggregate_selections: options.aggregate_selections,
+            share_results: options.share_results,
+            cache_relation: options.cache_relation,
+            facts: options.facts.iter().map(WireTuple::from_tuple).collect(),
+            record_provenance: options.record_provenance,
         }
     }
 }

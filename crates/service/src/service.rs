@@ -29,7 +29,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use dr_core::{ExplainError, NetMsg, QueryId, ResultCursor, RoutingHarness};
+use dr_core::{
+    ExplainError, NetMsg, QueryDef, QueryId, QueryOptions, ResultCursor, RoutingHarness,
+};
 use dr_datalog::parse_program;
 use dr_netsim::{SimDuration, Topology};
 use dr_types::NodeId;
@@ -76,8 +78,6 @@ struct Session {
 pub struct ServiceCounters {
     /// Sessions opened over the service's lifetime.
     pub sessions_opened: u64,
-    /// Sessions closed (disconnected).
-    pub sessions_closed: u64,
     /// Queries issued.
     pub queries_issued: u64,
     /// Queries torn down (explicitly or at disconnect).
@@ -166,7 +166,6 @@ impl RoutingService {
     /// Close a session, tearing down every query it still owns.
     pub fn disconnect(&mut self, sid: u64) {
         let Some(session) = self.sessions.remove(&sid) else { return };
-        self.counters.sessions_closed += 1;
         for qid in session.queries {
             self.owners.remove(&qid);
             let at = self.harness.now();
@@ -227,21 +226,21 @@ impl RoutingService {
             Ok(p) => p,
             Err(e) => return self.error(ErrorCode::Parse, e.to_string()),
         };
-        let at = self.harness.now();
-        let submitted = self
-            .harness
-            .issue(parsed)
-            .from(issuer)
-            .at(at)
-            .named(&options.name)
-            .replicated(options.replicated.iter().map(String::as_str))
-            .aggregate_selections(options.aggregate_selections)
-            .sharing(options.share_results)
-            .cache_relation(&options.cache_relation)
-            .facts(options.facts.iter().map(WireTuple::to_tuple).collect())
-            .provenance(options.record_provenance)
-            .submit();
-        match submitted {
+        let def = QueryDef {
+            program: parsed,
+            issuer,
+            at: self.harness.now(),
+            replicated: options.replicated,
+            options: QueryOptions {
+                name: options.name,
+                aggregate_selections: options.aggregate_selections,
+                share_results: options.share_results,
+                cache_relation: options.cache_relation,
+                facts: options.facts.iter().map(WireTuple::to_tuple).collect(),
+                record_provenance: options.record_provenance,
+            },
+        };
+        match self.harness.issue(def) {
             Ok(handle) => {
                 let qid = handle.id();
                 self.sessions.get_mut(&sid).expect("checked").queries.insert(qid);
@@ -691,5 +690,41 @@ mod tests {
             lagged.is_some_and(|m| m > 0),
             "expected Lagged after starved polls; drained={drained:?} caught_up={caught_up:?}"
         );
+    }
+
+    #[test]
+    fn default_issue_options_register_the_engine_defaults() {
+        let mut svc = service(4);
+        let (sid, _) = svc.connect();
+        let resp = svc.apply(
+            sid,
+            Request::IssueQuery {
+                program: BEST_PATH.to_string(),
+                options: IssueOptions::default(),
+            },
+        );
+        let Response::Issued { qid } = resp else { panic!("{resp:?}") };
+        let spec = svc.harness().library().get(qid).expect("spec registered");
+        assert_eq!(spec.options, QueryOptions::default());
+    }
+
+    /// Every counter field of the stats structs is a key of some
+    /// `stats_lines()` object, so a counter cannot be added (or kept)
+    /// without being reported.
+    #[test]
+    fn stats_lines_report_every_counter_field() {
+        let svc = service(4);
+        let json = svc.stats_lines().join("\n");
+        let debug = [
+            format!("{:?}", ServiceCounters::default()),
+            format!("{:?}", dr_core::ProcessorStats::default()),
+            format!("{:?}", dr_core::StateFootprint::default()),
+        ];
+        for rendered in &debug {
+            let body = rendered.split_once('{').expect("struct Debug output").1;
+            for field in body.split(',').filter_map(|f| f.split_once(':')).map(|f| f.0.trim()) {
+                assert!(json.contains(&format!("\"{field}\":")), "{field} missing from {json}");
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use dr_core::{ResultCursor, RoutingHarness};
+use dr_core::{QueryDef, ResultCursor, RoutingHarness};
 use dr_netsim::{EventSource, SimDuration, SimTime};
 use dr_service::protocol::{IssueOptions, Response, WireTuple, WireValue};
 use dr_service::service::default_topology;
@@ -99,11 +99,12 @@ fn hundred_sessions_under_churn_match_single_harness_oracle() {
 
         let at = oracle.now();
         let handle = oracle
-            .issue(dr_datalog::parse_program(BEST_PATH_PROGRAM).expect("parse"))
-            .from(dr_types::NodeId::new(issuer))
-            .at(at)
-            .named(format!("q{i}"))
-            .submit()
+            .issue(
+                QueryDef::new(dr_datalog::parse_program(BEST_PATH_PROGRAM).expect("parse"))
+                    .from(dr_types::NodeId::new(issuer))
+                    .at(at)
+                    .named(format!("q{i}")),
+            )
             .expect("oracle issue");
         oracle_qids.push(handle.id());
     }

@@ -7,7 +7,8 @@
 //! cargo run --release --example churn_resilience
 //! ```
 
-use declarative_routing::engine::scenario::{Probe, QueryDef, ScenarioBuilder};
+use declarative_routing::engine::scenario::{Probe, ScenarioBuilder};
+use declarative_routing::engine::QueryDef;
 use declarative_routing::netsim::{SimDuration, SimTime};
 use declarative_routing::protocols::best_path;
 use declarative_routing::workloads::{ChurnSchedule, OverlayKind, OverlayParams};

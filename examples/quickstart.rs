@@ -5,7 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use declarative_routing::engine::scenario::{QueryDef, ScenarioBuilder};
+use declarative_routing::engine::scenario::ScenarioBuilder;
+use declarative_routing::engine::QueryDef;
 use declarative_routing::netsim::{SimDuration, SimTime};
 use declarative_routing::protocols::best_path;
 use declarative_routing::types::NodeId;

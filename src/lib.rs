@@ -25,16 +25,17 @@
 //!   for tests, TCP via the `dr-serviced` daemon), with a line-oriented
 //!   JSON stats endpoint.
 //!
-//! Queries are issued through the harness's fluent builder and observed
-//! through the typed [`engine::harness::QueryHandle`] it returns; results
-//! decode into views such as [`types::RouteEntry`] instead of positional
-//! tuple fields. Whole experiments — topology + event timeline (query
+//! A query issuance is a plain [`engine::QueryDef`] (program, issuer,
+//! time, and per-query [`engine::QueryOptions`]); the harness issues it and
+//! returns a typed [`engine::harness::QueryHandle`] whose results decode
+//! into views such as [`types::RouteEntry`] instead of positional tuple
+//! fields. Whole experiments — topology + event timeline (query
 //! issuance, churn, link dynamics) + typed probes — are described
 //! declaratively with [`engine::scenario::ScenarioBuilder`] and run into a
 //! plain-data [`engine::scenario::ScenarioReport`]:
 //!
 //! ```no_run
-//! use declarative_routing::engine::harness::RoutingHarness;
+//! use declarative_routing::engine::{QueryDef, RoutingHarness};
 //! use declarative_routing::netsim::SimTime;
 //! use declarative_routing::protocols::best_path;
 //! use declarative_routing::types::NodeId;
@@ -42,12 +43,8 @@
 //!
 //! let topology = TransitStubParams::sized(100, 42).generate();
 //! let mut harness = RoutingHarness::new(topology);
-//! let handle = harness
-//!     .issue(best_path())
-//!     .from(NodeId::new(0))
-//!     .at(SimTime::ZERO)
-//!     .submit()
-//!     .unwrap();
+//! let handle =
+//!     harness.issue(QueryDef::new(best_path()).from(NodeId::new(0)).at(SimTime::ZERO)).unwrap();
 //! harness.run_until(SimTime::from_secs(60));
 //! let routes = handle.finite_results(&harness).unwrap(); // Vec<RouteEntry>
 //! println!("routes: {}", routes.len());
@@ -66,7 +63,8 @@
 //! ```
 //! use std::collections::BTreeMap;
 //!
-//! use declarative_routing::engine::scenario::{QueryDef, ScenarioBuilder, ScenarioRun};
+//! use declarative_routing::engine::scenario::{ScenarioBuilder, ScenarioRun};
+//! use declarative_routing::engine::QueryDef;
 //! use declarative_routing::netsim::{FaultPlan, LinkFaults, SimTime};
 //! use declarative_routing::protocols::best_path;
 //! use declarative_routing::types::NodeId;
@@ -106,15 +104,15 @@
 //!
 //! ## Explaining routes
 //!
-//! Issuing with `.provenance(true)` records, for every derived tuple,
-//! which rule fired on which node from which body tuples. `explain`
+//! Issuing with [`engine::QueryDef::provenance`] records, for every derived
+//! tuple, which rule fired on which node from which body tuples. `explain`
 //! stitches those records — following cross-node pointers over the
 //! simulated wire — into a [`provenance::DerivationTree`] proof whose
 //! leaves are base link facts, and [`provenance::diff_explanations`]
 //! reports exactly which rule firings a reroute removed and added:
 //!
 //! ```
-//! use declarative_routing::engine::harness::RoutingHarness;
+//! use declarative_routing::engine::{QueryDef, RoutingHarness};
 //! use declarative_routing::netsim::{LinkParams, SimTime, Topology};
 //! use declarative_routing::protocols::best_path;
 //! use declarative_routing::provenance::diff_explanations;
@@ -130,7 +128,7 @@
 //!     );
 //! }
 //! let mut harness = RoutingHarness::new(topology);
-//! let handle = harness.issue(best_path()).provenance(true).submit().unwrap();
+//! let handle = harness.issue(QueryDef::new(best_path()).provenance(true)).unwrap();
 //! harness.run_until(SimTime::from_secs(30));
 //!
 //! // Explain node 0's route to node 3: a multi-node proof tree.
@@ -174,3 +172,9 @@ pub use dr_provenance as provenance;
 pub use dr_service as service;
 pub use dr_types as types;
 pub use dr_workloads as workloads;
+
+/// The README's Rust blocks, compiled by `cargo test --doc` so the README
+/// cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -15,9 +15,9 @@
 //!   node that missed the `Install` flood repairs itself by requesting the
 //!   query from whoever ships it tuples.
 
-use declarative_routing::engine::harness::RoutingHarness;
 use declarative_routing::engine::processor::{NetMsg, ReliabilityConfig};
-use declarative_routing::engine::scenario::{QueryDef, ScenarioBuilder, ScenarioRun};
+use declarative_routing::engine::scenario::{ScenarioBuilder, ScenarioRun};
+use declarative_routing::engine::{QueryDef, RoutingHarness};
 use declarative_routing::netsim::{
     FaultPlan, LinkFaults, LinkParams, SimDuration, SimTime, Topology,
 };
@@ -177,7 +177,7 @@ fn duplicate_install_flood_is_idempotent() {
         .expect("clean run");
 
     let mut harness = RoutingHarness::new(line(k));
-    let handle = harness.issue(best_path()).submit().expect("query localizes");
+    let handle = harness.issue(QueryDef::new(best_path())).expect("query localizes");
     let qid = handle.id();
     harness.run_until(SimTime::from_secs(20));
     for i in 0..k as u32 {
@@ -204,7 +204,7 @@ fn duplicate_install_flood_is_idempotent() {
 fn duplicate_teardown_is_idempotent() {
     let k = 4;
     let mut harness = RoutingHarness::new(line(k));
-    let handle = harness.issue(best_path()).submit().expect("query localizes");
+    let handle = harness.issue(QueryDef::new(best_path())).expect("query localizes");
     let qid = handle.id();
     harness.run_until(SimTime::from_secs(20));
 
@@ -289,8 +289,9 @@ fn missed_install_is_repaired_via_query_request() {
     let victim = n(3);
     let mut harness = RoutingHarness::with_reliability(line(k), ReliabilityConfig::default());
     harness.sim_mut().schedule_node_fail(SimTime::from_millis(1), victim);
-    let handle =
-        harness.issue(best_path()).at(SimTime::from_secs(5)).submit().expect("query localizes");
+    let handle = harness
+        .issue(QueryDef::new(best_path()).at(SimTime::from_secs(5)))
+        .expect("query localizes");
     let qid = handle.id();
     harness.run_until(SimTime::from_secs(30));
     assert!(

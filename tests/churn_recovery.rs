@@ -11,8 +11,8 @@
 //!   on the surviving topology (recovery converges to the right answer,
 //!   not just *an* answer).
 
-use declarative_routing::engine::harness::RoutingHarness;
-use declarative_routing::engine::scenario::{Probe, QueryDef, ScenarioBuilder, ScenarioRun};
+use declarative_routing::engine::scenario::{Probe, ScenarioBuilder, ScenarioRun};
+use declarative_routing::engine::{QueryDef, RoutingHarness};
 use declarative_routing::netsim::{LinkParams, SimDuration, SimTime, Topology};
 use declarative_routing::protocols::best_path;
 use declarative_routing::types::NodeId;
@@ -135,7 +135,7 @@ fn prune_map_does_not_grow_monotonically_across_churn_cycles() {
     let topo = repro_overlay();
     let hub = hub_of(&topo);
     let mut harness = RoutingHarness::new(topo);
-    let handle = harness.issue(best_path()).submit().expect("query localizes");
+    let handle = harness.issue(QueryDef::new(best_path())).expect("query localizes");
     let qid = handle.id();
 
     harness.run_until(SimTime::from_secs(120));

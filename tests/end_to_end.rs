@@ -5,7 +5,7 @@
 
 use declarative_routing::baselines::{PathVectorConfig, PathVectorNode};
 use declarative_routing::datalog::{check_safety, Database, Evaluator};
-use declarative_routing::engine::harness::RoutingHarness;
+use declarative_routing::engine::{QueryDef, RoutingHarness};
 use declarative_routing::netsim::{
     LinkParams, SimConfig, SimDuration, SimTime, Simulator, Topology,
 };
@@ -46,7 +46,7 @@ fn distributed_centralized_and_baseline_agree() {
 
     // Distributed execution.
     let mut harness = RoutingHarness::new(topo.clone());
-    let handle = harness.issue(best_path()).from(n(0)).at(SimTime::ZERO).submit().unwrap();
+    let handle = harness.issue(QueryDef::new(best_path()).from(n(0)).at(SimTime::ZERO)).unwrap();
     harness.run_until(SimTime::from_secs(90));
     let mut distributed: Vec<(NodeId, NodeId, u64)> = handle
         .finite_results(&harness)
@@ -98,7 +98,8 @@ fn pair_queries_match_all_pairs_routes() {
     let topo = params.generate();
 
     let mut all_pairs = RoutingHarness::new(topo.clone());
-    let all_handle = all_pairs.issue(best_path()).from(n(0)).at(SimTime::ZERO).submit().unwrap();
+    let all_handle =
+        all_pairs.issue(QueryDef::new(best_path()).from(n(0)).at(SimTime::ZERO)).unwrap();
     all_pairs.run_until(SimTime::from_secs(120));
 
     let mut workload = PairWorkload::new(16, 11);
@@ -108,12 +109,13 @@ fn pair_queries_match_all_pairs_routes() {
     for i in 0..4 {
         let (src, dst) = workload.next_pair();
         let handle = harness
-            .issue(best_path_pairs(src, dst))
-            .named(format!("pair{i}"))
-            .replicated(["magicDsts"])
-            .from(src)
-            .at(now)
-            .submit()
+            .issue(
+                QueryDef::new(best_path_pairs(src, dst))
+                    .named(format!("pair{i}"))
+                    .replicated(["magicDsts"])
+                    .from(src)
+                    .at(now),
+            )
             .unwrap();
         now += SimDuration::from_secs(60);
         harness.run_until(now);
@@ -154,15 +156,14 @@ fn sharing_reduces_overhead_for_common_destinations() {
         let mut harness = RoutingHarness::new(small_transit_stub(9));
         let mut now = SimTime::ZERO;
         for (i, src) in sources.iter().enumerate() {
-            let builder = if share {
-                harness
-                    .issue(best_path_pairs_share(*src, dest, "bestPathCache"))
+            let def = if share {
+                QueryDef::new(best_path_pairs_share(*src, dest, "bestPathCache"))
                     .named(format!("s{i}"))
                     .sharing(true)
             } else {
-                harness.issue(best_path_pairs(*src, dest)).named(format!("p{i}"))
+                QueryDef::new(best_path_pairs(*src, dest)).named(format!("p{i}"))
             };
-            builder.replicated(["magicDsts"]).from(*src).at(now).submit().unwrap();
+            harness.issue(def.replicated(["magicDsts"]).from(*src).at(now)).unwrap();
             now += SimDuration::from_secs(20);
             harness.run_until(now);
         }
@@ -205,12 +206,13 @@ fn shared_best_path_is_cached_exactly_along_its_reverse_path() {
     let (src, dest) = (n(1), n(4));
     let mut harness = RoutingHarness::new(topo);
     harness
-        .issue(best_path_pairs_share(src, dest, "bestPathCache"))
-        .sharing(true)
-        .replicated(["magicDsts"])
-        .from(src)
-        .at(SimTime::ZERO)
-        .submit()
+        .issue(
+            QueryDef::new(best_path_pairs_share(src, dest, "bestPathCache"))
+                .sharing(true)
+                .replicated(["magicDsts"])
+                .from(src)
+                .at(SimTime::ZERO),
+        )
         .unwrap();
     harness.run_until(SimTime::from_secs(30));
 
@@ -258,7 +260,7 @@ fn protocols_are_safe_and_localizable() {
 /// recovery probe.
 #[test]
 fn routes_heal_after_node_failure_on_an_overlay() {
-    use declarative_routing::engine::scenario::{Probe, QueryDef, ScenarioBuilder};
+    use declarative_routing::engine::scenario::{Probe, ScenarioBuilder};
     let params =
         OverlayParams { nodes: 12, ..OverlayParams::planetlab(OverlayKind::SparseRandom, 13) };
     let topo = params.generate();

@@ -6,15 +6,18 @@
 //! link set. A second property pins loss-invariance: on unique-best-path
 //! topologies the proof tree resolves identically with and without an
 //! adversarial [`FaultPlan`], and explain stays typed (never wedges) on
-//! torn-down queries even under loss.
+//! torn-down queries even under loss. A scenario-level test pins that
+//! `QueryDef::provenance` reaches the engine through `ScenarioBuilder`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use declarative_routing::datalog::eval::{apply_aggregate, evaluate_rule};
 use declarative_routing::datalog::{parse_program, Builtins, Database, Evaluator};
 use declarative_routing::engine::processor::ReliabilityConfig;
-use declarative_routing::engine::{DerivationTree, ExplainError, RoutingHarness};
+use declarative_routing::engine::scenario::ScenarioBuilder;
+use declarative_routing::engine::{DerivationTree, ExplainError, QueryDef, RoutingHarness};
 use declarative_routing::netsim::{FaultPlan, LinkFaults, LinkParams, SimTime, Topology};
+use declarative_routing::protocols::best_path;
 use declarative_routing::types::{Cost, NodeId, Tuple, Value};
 use proptest::prelude::*;
 
@@ -99,7 +102,7 @@ proptest! {
         let num_nodes = topology.num_nodes();
         let mut harness = RoutingHarness::new(topology);
         let handle =
-            harness.issue(parse_program(BEST_PATH).unwrap()).provenance(true).submit().unwrap();
+            harness.issue(QueryDef::new(parse_program(BEST_PATH).unwrap()).provenance(true)).unwrap();
         harness.run_until(SimTime::from_secs(60));
         let qid = handle.id();
 
@@ -220,9 +223,10 @@ proptest! {
                 ));
             }
             let handle = harness
-                .issue(parse_program(BEST_PATH).unwrap())
-                .provenance(true)
-                .submit()
+                .issue(
+                QueryDef::new(parse_program(BEST_PATH).unwrap())
+                    .provenance(true)
+            )
                 .unwrap();
             harness.run_until(SimTime::from_secs(90));
             let qid = handle.id();
@@ -256,4 +260,24 @@ proptest! {
             lossy_tree
         );
     }
+}
+
+/// A scenario query issued with `.provenance(true)` records derivations,
+/// so the run's harness explains its routes into fully resolved proofs.
+#[test]
+fn scenario_query_recording_provenance_is_explainable() {
+    let mut run = ScenarioBuilder::over(line(4))
+        .query(QueryDef::new(best_path()).provenance(true))
+        .until(SimTime::from_secs(30))
+        .execute()
+        .expect("scenario runs");
+    let qid = run.handles[0].id();
+    let route = run.handles[0]
+        .raw_results_at(&run.harness, n(0))
+        .into_iter()
+        .find(|t| finite(t) && t.field(1) == Some(&Value::Node(n(3))))
+        .expect("finite route 0 -> 3");
+    let tree = run.harness.explain(qid, &route).expect("scenario query records provenance");
+    assert!(tree.is_fully_resolved(), "{tree}");
+    assert!(tree.steps().iter().any(|s| s.node != n(0)), "the proof spans nodes:\n{tree}");
 }

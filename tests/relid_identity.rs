@@ -4,10 +4,10 @@
 //! when the query arrives via piggy-backed installation), and typed decode
 //! failures on stale or unknown ids.
 
-use declarative_routing::engine::harness::RoutingHarness;
 use declarative_routing::engine::localize::localize;
 use declarative_routing::engine::processor::NetMsg;
 use declarative_routing::engine::QueryId;
+use declarative_routing::engine::{QueryDef, RoutingHarness};
 use declarative_routing::netsim::{LinkParams, SimTime, Topology};
 use declarative_routing::protocols::{best_path, dynamic_source_routing, link_state};
 use declarative_routing::types::{Cost, Error, NodeId, RelCatalog, RelId, Tuple, Value};
@@ -104,7 +104,7 @@ fn independent_localizations_agree_on_bindings() {
 #[test]
 fn piggy_backed_install_derives_identical_bindings() {
     let mut harness = RoutingHarness::new(line_topology(3));
-    let handle = harness.issue(best_path()).from(n(0)).submit().expect("query issues");
+    let handle = harness.issue(QueryDef::new(best_path()).from(n(0))).expect("query issues");
     let qid = handle.id();
 
     // Deliver a tuple batch for the (registered but not yet flooded-to-2)
@@ -141,7 +141,7 @@ fn piggy_backed_install_derives_identical_bindings() {
 #[test]
 fn stale_relation_id_is_rejected_on_receive() {
     let mut harness = RoutingHarness::new(line_topology(2));
-    let handle = harness.issue(best_path()).from(n(0)).submit().expect("query issues");
+    let handle = harness.issue(QueryDef::new(best_path()).from(n(0))).expect("query issues");
     let qid = handle.id();
     harness.run_until(SimTime::from_secs(10));
     assert_eq!(harness.processor_stats().tuples_rejected, 0);

@@ -3,7 +3,8 @@
 //! and recovery times included. This is the property the figure binaries
 //! rely on when their CSVs are diffed across machines and runs.
 
-use declarative_routing::engine::scenario::{Probe, QueryDef, ScenarioBuilder, ScenarioReport};
+use declarative_routing::engine::scenario::{Probe, ScenarioBuilder, ScenarioReport};
+use declarative_routing::engine::QueryDef;
 use declarative_routing::netsim::{SimDuration, SimTime};
 use declarative_routing::protocols::best_path;
 use declarative_routing::workloads::{

@@ -3,7 +3,7 @@
 //! hand-coded `dr-baselines` distance-vector protocol on a small ring.
 
 use declarative_routing::baselines::{DistanceVectorConfig, DistanceVectorNode};
-use declarative_routing::engine::harness::RoutingHarness;
+use declarative_routing::engine::{QueryDef, RoutingHarness};
 use declarative_routing::netsim::{LinkParams, SimConfig, SimTime, Simulator, Topology};
 use declarative_routing::protocols::best_path;
 use declarative_routing::types::{Cost, NodeId};
@@ -54,7 +54,7 @@ fn best_path_matches_distance_vector_baseline_on_a_ring() {
 
     // Declarative engine.
     let mut harness = RoutingHarness::new(ring(K));
-    let handle = harness.issue(best_path()).from(n(0)).at(SimTime::ZERO).submit().unwrap();
+    let handle = harness.issue(QueryDef::new(best_path()).from(n(0)).at(SimTime::ZERO)).unwrap();
     harness.run_until(SimTime::from_secs(60));
     let results = handle.finite_results(&harness).unwrap();
     assert_eq!(
